@@ -437,7 +437,8 @@ std::string junit_report(const DiffReport& report) {
            std::to_string(it->second.size()) +
            " value(s) beyond tolerance\">";
     for (const FieldDrift* drift : it->second) {
-      xml += "\n" + xml_escape(describe_drift(*drift));
+      xml += '\n';
+      xml += xml_escape(describe_drift(*drift));
     }
     xml += "\n    </failure>\n  </testcase>\n";
   }

@@ -553,6 +553,31 @@ std::shared_ptr<const sim::DistanceOracle> ScenarioRegistry::oracle(
   return it->second;
 }
 
+std::shared_ptr<const sim::Workload> ScenarioRegistry::workload(
+    const std::string& spec, int ranks, std::uint64_t seed) {
+  if (spec.substr(0, spec.find(':')) == "trace") {
+    return sim::Workload::make(spec, ranks, seed);
+  }
+  const auto key = std::make_tuple(
+      spec, ranks, sim::workload_uses_seed(spec) ? seed : std::uint64_t{0});
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = workloads_.find(key);
+    if (it != workloads_.end()) {
+      if (auto live = it->second.lock()) return live;
+    }
+  }
+  // Compile outside the lock; a racing duplicate is wasted work only.
+  auto compiled = sim::Workload::make(spec, ranks, seed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::weak_ptr<const sim::Workload>& slot = workloads_[key];
+  if (auto live = slot.lock()) return live;
+  slot = compiled;
+  std::erase_if(workloads_,
+                [](const auto& entry) { return entry.second.expired(); });
+  return compiled;
+}
+
 Scenario ScenarioRegistry::make(const ScenarioSpec& spec) {
   // Factory errors name the full offending spec, not just the one bad
   // field — a suite of hundreds of expanded cases is undebuggable
@@ -582,7 +607,7 @@ Scenario ScenarioRegistry::make(const ScenarioSpec& spec) {
         spec.pattern_seed != 0 ? spec.pattern_seed : spec.config.seed;
     scenario.pattern = make_pattern(*scenario.setup, spec.pattern, seed);
     if (!spec.workload.empty()) {
-      scenario.workload = sim::Workload::make(
+      scenario.workload = workload(
           spec.workload,
           static_cast<int>(scenario.setup->terminals().size()), seed);
     }

@@ -5,13 +5,15 @@
 // factories, and the string-keyed routing / traffic factories — plus a
 // ScenarioRegistry that caches topologies (and their DistanceOracles, the
 // expensive part) by spec string so every sweep point and every routing
-// over the same topology shares one oracle.
+// over the same topology shares one oracle, and compiled workloads so
+// every routing over the same workload shares one send table.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/polarfly.hpp"
@@ -210,11 +212,15 @@ struct Scenario {
   std::string label;
 };
 
-/// String-keyed topology/oracle cache + scenario resolution. Thread-safe.
-/// Damaged graphs are cached under the combined key
+/// String-keyed topology/oracle/workload cache + scenario resolution.
+/// Thread-safe. Damaged graphs are cached under the combined key
 /// "<topology>|<failure.canonical()>", so an intact entry is never
 /// mistaken for a damaged one (and vice versa), and two different
 /// failure specs over the same base topology get distinct oracles.
+/// Compiled workloads are shared by (spec, ranks, seed) while any
+/// scenario still holds them; seed-blind generators share across seeds,
+/// and trace:file= specs are re-read on every make() (the file may have
+/// changed).
 class ScenarioRegistry {
  public:
   /// Parses a topology spec (see ScenarioSpec::topology), constructing and
@@ -251,6 +257,14 @@ class ScenarioRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<const NetSetup>> topologies_;
   std::map<std::string, std::shared_ptr<const sim::DistanceOracle>> oracles_;
+  /// Weak: a workload lives exactly as long as the scenarios using it.
+  std::map<std::tuple<std::string, int, std::uint64_t>,
+           std::weak_ptr<const sim::Workload>>
+      workloads_;
+
+  std::shared_ptr<const sim::Workload> workload(const std::string& spec,
+                                                int ranks,
+                                                std::uint64_t seed);
 };
 
 }  // namespace pf::exp

@@ -1399,7 +1399,7 @@ void Network::wl_process_due(int t) {
   const int phases = workload_->num_phases();
   const int phase = wl_phase_[ti];
   if (phase >= phases) return;  // stale wake: rank already done
-  const auto& msgs = workload_->sends(t, phase);
+  const auto msgs = workload_->sends(t, phase);
   if (wl_next_msg_[ti] >= static_cast<std::int32_t>(msgs.size())) {
     return;  // all sent; a delivery will advance the phase and rearm
   }
@@ -1494,7 +1494,7 @@ void Network::wl_advance(int r) {
     }
   }
   if (advanced && wl_phase_[ri] < phases) {
-    const auto& msgs = workload_->sends(r, wl_phase_[ri]);
+    const auto msgs = workload_->sends(r, wl_phase_[ri]);
     if (!msgs.empty()) {
       schedule_terminal(
           r, std::max({cycle_, wl_next_ok_[ri], msgs[0].release}));

@@ -482,7 +482,8 @@ class Network {
   // Workload mode: compiled sends replace the Bernoulli process. All
   // progression state is rank-indexed (rank == terminal index); wl_recv_
   // is a flat ranks x phases table because receivers can run arbitrarily
-  // far ahead of a slow sender through zero-expectation phases.
+  // far ahead of a slow sender through zero-expectation phases. Its
+  // counts never pass the workload's int32 expectations.
   const Workload* workload_ = nullptr;
   bool workload_mode_ = false;
   std::int64_t wl_pace_ = 1;  ///< min cycles between a rank's injections
@@ -490,7 +491,7 @@ class Network {
   std::vector<std::int32_t> wl_next_msg_;  ///< send cursor within phase
   std::vector<std::int32_t> wl_sent_;      ///< packets sent of cursor msg
   std::vector<std::int64_t> wl_unacked_;   ///< in-flight packets per rank
-  std::vector<std::int64_t> wl_recv_;      ///< rank * phases + phase
+  std::vector<std::int32_t> wl_recv_;      ///< rank * phases + phase
   std::vector<std::int64_t> wl_next_ok_;   ///< pacing floor per rank
   std::vector<std::int32_t> wl_phase_left_;   ///< ranks not yet past phase
   std::vector<std::int64_t> wl_phase_cycles_; ///< completion cycle, -1 open

@@ -1,8 +1,10 @@
 #include "sim/workload.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -16,6 +18,11 @@ namespace {
 
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 constexpr std::int64_t kMaxParam = 1 << 20;
+/// Size caps of the compiled form: (rank, phase) rows and messages (the
+/// latter bounded by the uint32 row offsets).
+constexpr std::uint64_t kMaxRows = std::uint64_t{1} << 26;
+constexpr std::uint64_t kMaxMessages =
+    std::numeric_limits<std::uint32_t>::max();
 
 struct SpecParam {
   std::string key;
@@ -200,23 +207,53 @@ std::int64_t trace_int(const util::JsonValue& v, const char* key,
 
 }  // namespace
 
-void Workload::init(int ranks, int phases) {
+void Workload::init(const std::string& spec, int ranks, int phases,
+                    std::uint64_t messages) {
+  const std::uint64_t rows =
+      static_cast<std::uint64_t>(ranks) * static_cast<std::uint64_t>(phases);
+  if (rows > kMaxRows) {
+    spec_fail(spec, std::to_string(ranks) + " ranks x " +
+                        std::to_string(phases) + " phases exceeds 2^26");
+  }
+  if (messages > kMaxMessages) {
+    spec_fail(spec, std::to_string(messages) +
+                        " messages exceed UINT32_MAX");
+  }
   ranks_ = ranks;
   phases_ = phases;
-  sends_.assign(
-      static_cast<std::size_t>(ranks) * static_cast<std::size_t>(phases), {});
-  expect_.assign(
-      static_cast<std::size_t>(ranks) * static_cast<std::size_t>(phases), 0);
+  msgs_.reserve(static_cast<std::size_t>(messages));
+  offsets_.assign(static_cast<std::size_t>(rows) + 1, 0);
+  expect_.assign(static_cast<std::size_t>(rows), 0);
+  last_row_ = 0;
 }
 
 void Workload::add(int rank, int phase, int dst, int packets,
                    std::int64_t release) {
-  sends_[static_cast<std::size_t>(rank) * static_cast<std::size_t>(phases_) +
-         static_cast<std::size_t>(phase)]
-      .push_back({dst, packets, release});
-  expect_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(phases_) +
-          static_cast<std::size_t>(phase)] += packets;
+  const std::size_t row = row_of(rank, phase);
+  if (row < last_row_) {
+    throw std::logic_error("Workload::add: row (" + std::to_string(rank) +
+                           ", " + std::to_string(phase) +
+                           ") arrives after a later row");
+  }
+  if (msgs_.size() >= kMaxMessages) {
+    throw std::overflow_error("more than UINT32_MAX messages");
+  }
+  std::int32_t& expect = expect_[row_of(dst, phase)];
+  if (packets > std::numeric_limits<std::int32_t>::max() - expect) {
+    throw std::overflow_error(
+        "rank " + std::to_string(dst) + " would expect more than INT32_MAX "
+        "packets in phase " + std::to_string(phase));
+  }
+  const auto start = static_cast<std::uint32_t>(msgs_.size());
+  while (last_row_ < row) offsets_[++last_row_] = start;
+  msgs_.push_back({dst, packets, release});
+  expect += packets;
   total_packets_ += packets;
+}
+
+void Workload::finish() {
+  const auto end = static_cast<std::uint32_t>(msgs_.size());
+  while (last_row_ + 1 < offsets_.size()) offsets_[++last_row_] = end;
 }
 
 std::shared_ptr<const Workload> Workload::make(const std::string& spec,
@@ -248,140 +285,154 @@ std::shared_ptr<const Workload> Workload::make(const std::string& spec,
               "needs >= 2 ranks, got " + std::to_string(ranks));
   }
   auto w = std::shared_ptr<Workload>(new Workload());
+  const auto n = static_cast<std::uint64_t>(ranks);
 
-  if (base == "alltoall") {
-    const int packets = static_cast<int>(params.get_int("packets", 1, 1, kMaxParam));
-    w->init(ranks, ranks - 1);
-    for (int p = 0; p < ranks - 1; ++p) {
+  // Every generator emits in ascending (rank, phase) order, as add()
+  // requires; init() sees the exact message count, so the size caps fire
+  // before anything is allocated and msgs_ never over-allocates.
+  try {
+    if (base == "alltoall") {
+      const int packets = static_cast<int>(params.get_int("packets", 1, 1, kMaxParam));
+      w->init(spec, ranks, ranks - 1, n * (n - 1));
       for (int r = 0; r < ranks; ++r) {
-        w->add(r, p, (r + p + 1) % ranks, packets, 0);
+        for (int p = 0; p < ranks - 1; ++p) {
+          w->add(r, p, (r + p + 1) % ranks, packets, 0);
+        }
       }
-    }
-    w->name_ = canon("alltoall", {{"packets", packets, 1}});
-  } else if (base == "ring_allreduce") {
-    // Reduce-scatter then allgather: 2(R-1) ring steps, every rank
-    // forwarding one chunk to its successor each step.
-    const int packets = static_cast<int>(params.get_int("packets", 1, 1, kMaxParam));
-    const int phases = 2 * (ranks - 1);
-    w->init(ranks, phases);
-    for (int p = 0; p < phases; ++p) {
+      w->name_ = canon("alltoall", {{"packets", packets, 1}});
+    } else if (base == "ring_allreduce") {
+      // Reduce-scatter then allgather: 2(R-1) ring steps, every rank
+      // forwarding one chunk to its successor each step.
+      const int packets = static_cast<int>(params.get_int("packets", 1, 1, kMaxParam));
+      const int phases = 2 * (ranks - 1);
+      w->init(spec, ranks, phases, n * static_cast<std::uint64_t>(phases));
       for (int r = 0; r < ranks; ++r) {
-        w->add(r, p, (r + 1) % ranks, packets, 0);
+        for (int p = 0; p < phases; ++p) {
+          w->add(r, p, (r + 1) % ranks, packets, 0);
+        }
       }
-    }
-    w->name_ = canon("ring_allreduce", {{"packets", packets, 1}});
-  } else if (base == "rd_allreduce") {
-    // Recursive doubling with the standard non-power-of-two pre/post
-    // folding: the rem = R - 2^k surplus ranks fold into their partner
-    // before the log2 exchange rounds and receive the result after.
-    const int packets = static_cast<int>(params.get_int("packets", 1, 1, kMaxParam));
-    int pow = 1;
-    while (pow * 2 <= ranks) pow *= 2;
-    const int rem = ranks - pow;
-    int k = 0;
-    while ((1 << k) < pow) ++k;
-    w->init(ranks, k + (rem != 0 ? 2 : 0));
-    int phase = 0;
-    if (rem != 0) {
-      for (int r = pow; r < ranks; ++r) w->add(r, phase, r - pow, packets, 0);
-      ++phase;
-    }
-    for (int i = 0; i < k; ++i, ++phase) {
-      for (int r = 0; r < pow; ++r) {
-        w->add(r, phase, r ^ (1 << i), packets, 0);
+      w->name_ = canon("ring_allreduce", {{"packets", packets, 1}});
+    } else if (base == "rd_allreduce") {
+      // Recursive doubling with the standard non-power-of-two pre/post
+      // folding: the rem = R - 2^k surplus ranks fold into their partner
+      // before the log2 exchange rounds and receive the result after.
+      const int packets = static_cast<int>(params.get_int("packets", 1, 1, kMaxParam));
+      int pow = 1;
+      while (pow * 2 <= ranks) pow *= 2;
+      const int rem = ranks - pow;
+      int k = 0;
+      while ((1 << k) < pow) ++k;
+      const int fold = rem != 0 ? 1 : 0;  // leading fold-in phase
+      w->init(spec, ranks, k + 2 * fold,
+              static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(pow) +
+                  2 * static_cast<std::uint64_t>(rem));
+      for (int r = 0; r < ranks; ++r) {
+        if (r >= pow) {
+          w->add(r, 0, r - pow, packets, 0);
+          continue;  // surplus ranks idle through the butterfly
+        }
+        for (int i = 0; i < k; ++i) {
+          w->add(r, fold + i, r ^ (1 << i), packets, 0);
+        }
+        if (r < rem) w->add(r, fold + k, r + pow, packets, 0);
       }
-    }
-    if (rem != 0) {
-      for (int r = 0; r < rem; ++r) w->add(r, phase, r + pow, packets, 0);
-    }
-    w->name_ = canon("rd_allreduce", {{"packets", packets, 1}});
-  } else if (base == "stencil2d" || base == "stencil3d") {
-    const int iters = static_cast<int>(params.get_int("iters", 4, 1, kMaxParam));
-    const int packets = static_cast<int>(params.get_int("packets", 1, 1, kMaxParam));
-    std::vector<int> dims;
-    if (base == "stencil2d") {
-      const std::array<int, 2> d = grid2(ranks);
-      dims.assign(d.begin(), d.end());
+      w->name_ = canon("rd_allreduce", {{"packets", packets, 1}});
+    } else if (base == "stencil2d" || base == "stencil3d") {
+      const int iters = static_cast<int>(params.get_int("iters", 4, 1, kMaxParam));
+      const int packets = static_cast<int>(params.get_int("packets", 1, 1, kMaxParam));
+      std::vector<int> dims;
+      if (base == "stencil2d") {
+        const std::array<int, 2> d = grid2(ranks);
+        dims.assign(d.begin(), d.end());
+      } else {
+        const std::array<int, 3> d = grid3(ranks);
+        dims.assign(d.begin(), d.end());
+      }
+      // The periodic grid is vertex-transitive: every rank has as many
+      // halo partners as rank 0.
+      w->init(spec, ranks, iters,
+              n * static_cast<std::uint64_t>(iters) *
+                  stencil_neighbors(0, dims).size());
+      for (int r = 0; r < ranks; ++r) {
+        const std::vector<int> nbrs = stencil_neighbors(r, dims);
+        for (int p = 0; p < iters; ++p) {
+          for (const int nb : nbrs) w->add(r, p, nb, packets, 0);
+        }
+      }
+      w->name_ = canon(base.c_str(),
+                       {{"iters", iters, 4}, {"packets", packets, 1}});
+    } else if (base == "bursty") {
+      // ON/OFF source: `bursts` trains per rank, `gap` cycles apart, each
+      // aimed at an independently drawn non-self destination.
+      const int bursts = static_cast<int>(params.get_int("bursts", 4, 1, kMaxParam));
+      const std::int64_t gap = params.get_int("gap", 256, 0, std::int64_t{1} << 40);
+      const int packets = static_cast<int>(params.get_int("packets", 4, 1, kMaxParam));
+      w->init(spec, ranks, 1, n * static_cast<std::uint64_t>(bursts));
+      for (int r = 0; r < ranks; ++r) {
+        util::Rng rng(seed + kGolden * (static_cast<std::uint64_t>(r) + 1));
+        for (int b = 0; b < bursts; ++b) {
+          int dst = r;
+          while (dst == r) {
+            dst = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(ranks)));
+          }
+          w->add(r, 0, dst, packets, static_cast<std::int64_t>(b) * gap);
+        }
+      }
+      w->name_ = canon("bursty", {{"bursts", bursts, 4},
+                                  {"gap", gap, 256},
+                                  {"packets", packets, 4}});
+    } else if (base == "hotspot") {
+      // Each message lands on one of the first `hotspots` ranks with
+      // probability bias%, else uniformly; self-hits redraw uniformly.
+      const int packets = static_cast<int>(params.get_int("packets", 8, 1, kMaxParam));
+      const int hotspots = static_cast<int>(
+          params.get_int("hotspots", 1, 1, static_cast<std::int64_t>(ranks) - 1));
+      const int bias = static_cast<int>(params.get_int("bias", 50, 0, 100));
+      w->init(spec, ranks, 1, n * static_cast<std::uint64_t>(packets));
+      for (int r = 0; r < ranks; ++r) {
+        util::Rng rng(seed + kGolden * (static_cast<std::uint64_t>(r) + 1));
+        for (int m = 0; m < packets; ++m) {
+          int dst;
+          if (static_cast<int>(rng.below(100)) < bias) {
+            dst = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(hotspots)));
+          } else {
+            dst = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(ranks)));
+          }
+          while (dst == r) {
+            dst = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(ranks)));
+          }
+          w->add(r, 0, dst, 1, 0);
+        }
+      }
+      w->name_ = canon("hotspot", {{"packets", packets, 8},
+                                   {"hotspots", hotspots, 1},
+                                   {"bias", bias, 50}});
+    } else if (base == "incast") {
+      // Every rank fans `packets` into each of the first `targets` ranks.
+      const int packets = static_cast<int>(params.get_int("packets", 8, 1, kMaxParam));
+      const int targets = static_cast<int>(
+          params.get_int("targets", 1, 1, static_cast<std::int64_t>(ranks) - 1));
+      // Targets skip themselves: one message fewer per target rank.
+      w->init(spec, ranks, 1, (n - 1) * static_cast<std::uint64_t>(targets));
+      for (int r = 0; r < ranks; ++r) {
+        for (int t = 0; t < targets; ++t) {
+          if (t != r) w->add(r, 0, t, packets, 0);
+        }
+      }
+      w->name_ = canon("incast", {{"packets", packets, 8},
+                                  {"targets", targets, 1}});
     } else {
-      const std::array<int, 3> d = grid3(ranks);
-      dims.assign(d.begin(), d.end());
+      spec_fail(spec, "unknown workload \"" + base + "\"");
     }
-    w->init(ranks, iters);
-    for (int r = 0; r < ranks; ++r) {
-      const std::vector<int> nbrs = stencil_neighbors(r, dims);
-      for (int p = 0; p < iters; ++p) {
-        for (const int nb : nbrs) w->add(r, p, nb, packets, 0);
-      }
-    }
-    w->name_ = canon(base.c_str(),
-                     {{"iters", iters, 4}, {"packets", packets, 1}});
-  } else if (base == "bursty") {
-    // ON/OFF source: `bursts` trains per rank, `gap` cycles apart, each
-    // aimed at an independently drawn non-self destination.
-    const int bursts = static_cast<int>(params.get_int("bursts", 4, 1, kMaxParam));
-    const std::int64_t gap = params.get_int("gap", 256, 0, std::int64_t{1} << 40);
-    const int packets = static_cast<int>(params.get_int("packets", 4, 1, kMaxParam));
-    w->init(ranks, 1);
-    for (int r = 0; r < ranks; ++r) {
-      util::Rng rng(seed + kGolden * (static_cast<std::uint64_t>(r) + 1));
-      for (int b = 0; b < bursts; ++b) {
-        int dst = r;
-        while (dst == r) {
-          dst = static_cast<int>(
-              rng.below(static_cast<std::uint64_t>(ranks)));
-        }
-        w->add(r, 0, dst, packets, static_cast<std::int64_t>(b) * gap);
-      }
-    }
-    w->name_ = canon("bursty", {{"bursts", bursts, 4},
-                                {"gap", gap, 256},
-                                {"packets", packets, 4}});
-  } else if (base == "hotspot") {
-    // Each message lands on one of the first `hotspots` ranks with
-    // probability bias%, else uniformly; self-hits redraw uniformly.
-    const int packets = static_cast<int>(params.get_int("packets", 8, 1, kMaxParam));
-    const int hotspots = static_cast<int>(
-        params.get_int("hotspots", 1, 1, static_cast<std::int64_t>(ranks) - 1));
-    const int bias = static_cast<int>(params.get_int("bias", 50, 0, 100));
-    w->init(ranks, 1);
-    for (int r = 0; r < ranks; ++r) {
-      util::Rng rng(seed + kGolden * (static_cast<std::uint64_t>(r) + 1));
-      for (int m = 0; m < packets; ++m) {
-        int dst;
-        if (static_cast<int>(rng.below(100)) < bias) {
-          dst = static_cast<int>(
-              rng.below(static_cast<std::uint64_t>(hotspots)));
-        } else {
-          dst = static_cast<int>(
-              rng.below(static_cast<std::uint64_t>(ranks)));
-        }
-        while (dst == r) {
-          dst = static_cast<int>(
-              rng.below(static_cast<std::uint64_t>(ranks)));
-        }
-        w->add(r, 0, dst, 1, 0);
-      }
-    }
-    w->name_ = canon("hotspot", {{"packets", packets, 8},
-                                 {"hotspots", hotspots, 1},
-                                 {"bias", bias, 50}});
-  } else if (base == "incast") {
-    // Every rank fans `packets` into each of the first `targets` ranks.
-    const int packets = static_cast<int>(params.get_int("packets", 8, 1, kMaxParam));
-    const int targets = static_cast<int>(
-        params.get_int("targets", 1, 1, static_cast<std::int64_t>(ranks) - 1));
-    w->init(ranks, 1);
-    for (int r = 0; r < ranks; ++r) {
-      for (int t = 0; t < targets; ++t) {
-        if (t != r) w->add(r, 0, t, packets, 0);
-      }
-    }
-    w->name_ = canon("incast", {{"packets", packets, 8},
-                                {"targets", targets, 1}});
-  } else {
-    spec_fail(spec, "unknown workload \"" + base + "\"");
+  } catch (const std::overflow_error& e) {
+    spec_fail(spec, e.what());
   }
   params.done();
+  w->finish();
   return w;
 }
 
@@ -473,12 +524,18 @@ std::shared_ptr<const Workload> Workload::from_trace(
                    "phases = " + std::to_string(p64) +
                        " out of range [1, " + std::to_string(kMaxParam) + "]");
       }
-      if (r64 * p64 > (std::int64_t{1} << 26)) {
+      if (static_cast<std::uint64_t>(r64 * p64) > kMaxRows) {
         trace_fail(context, lineno, "ranks * phases exceeds 2^26");
       }
       ranks = static_cast<int>(r64);
       phases = static_cast<int>(p64);
-      w->init(ranks, phases);
+      // Every remaining line holds one message (a trailing newline
+      // aside), which sizes msgs_ exactly.
+      w->init(context, ranks, phases,
+              static_cast<std::uint64_t>(
+                  std::count(text.begin() + static_cast<std::ptrdiff_t>(pos),
+                             text.end(), '\n') +
+                  (text.empty() || text.back() == '\n' ? 0 : 1)));
       have_header = true;
       continue;
     }
@@ -548,12 +605,17 @@ std::shared_ptr<const Workload> Workload::from_trace(
     } else {
       last_release = release;
     }
-    w->add(static_cast<int>(rank), static_cast<int>(phase),
-           static_cast<int>(dst), static_cast<int>(packets), release);
+    try {
+      w->add(static_cast<int>(rank), static_cast<int>(phase),
+             static_cast<int>(dst), static_cast<int>(packets), release);
+    } catch (const std::overflow_error& e) {
+      trace_fail(context, lineno, e.what());
+    }
   }
   if (!have_header) {
     trace_fail(context, 1, "missing polarfly-trace/1 header");
   }
+  w->finish();
   w->name_ = workload_name;
   return w;
 }

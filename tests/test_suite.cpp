@@ -4,6 +4,7 @@
 // malformed-input behavior of util::json_parse.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -329,6 +330,54 @@ TEST(ScenarioRegistry, FailureSpecIsPartOfTheCacheKey) {
   }
 }
 
+TEST(ScenarioRegistry, CompilesEachWorkloadOnce) {
+  exp::ScenarioRegistry registry;
+  exp::ScenarioSpec spec;
+  spec.topology = "pf:q=5,p=1";
+  spec.workload = "alltoall";
+  spec.routing = "MIN";
+  const exp::Scenario min = registry.make(spec);
+  spec.routing = "UGALPF";
+  const exp::Scenario ugalpf = registry.make(spec);
+  ASSERT_NE(min.workload, nullptr);
+  EXPECT_EQ(min.workload.get(), ugalpf.workload.get());
+  // alltoall ignores its seed, so another seed shares the same table.
+  spec.pattern_seed = 99;
+  EXPECT_EQ(registry.make(spec).workload.get(), min.workload.get());
+
+  // bursty draws from its seed: one instance per seed.
+  spec.workload = "bursty";
+  spec.pattern_seed = 1;
+  const exp::Scenario first = registry.make(spec);
+  spec.pattern_seed = 2;
+  const exp::Scenario second = registry.make(spec);
+  EXPECT_NE(first.workload.get(), second.workload.get());
+  EXPECT_NE(first.workload->to_trace(), second.workload->to_trace());
+  spec.pattern_seed = 1;
+  EXPECT_EQ(registry.make(spec).workload.get(), first.workload.get());
+}
+
+TEST(ScenarioRegistry, ReReadsTraceWorkloadsOnEveryMake) {
+  // A trace file may change between two resolutions; the second must see
+  // the new contents, never a cached compile of the old ones.
+  const std::string path = "test_suite_registry_trace.jsonl";
+  const int ranks = 31;  // pf:q=5,p=1
+  exp::ScenarioRegistry registry;
+  exp::ScenarioSpec spec;
+  spec.topology = "pf:q=5,p=1";
+  spec.workload = "trace:file=" + path;
+  ASSERT_TRUE(util::write_text_file(
+      path, sim::Workload::make("alltoall", ranks, 0)->to_trace()));
+  const exp::Scenario before = registry.make(spec);
+  ASSERT_TRUE(util::write_text_file(
+      path, sim::Workload::make("ring_allreduce", ranks, 0)->to_trace()));
+  const exp::Scenario after = registry.make(spec);
+  EXPECT_EQ(before.workload->name(), "alltoall");
+  EXPECT_EQ(after.workload->name(), "ring_allreduce");
+  EXPECT_EQ(after.workload->num_phases(), 2 * (ranks - 1));
+  std::remove(path.c_str());
+}
+
 // ---- suite runner --------------------------------------------------------
 
 sim::SimConfig quick_config() {
@@ -486,7 +535,8 @@ TEST(SuiteRunner, SkipsDisconnectedDamage) {
     for (const std::int32_t v : df.graph.neighbors(u)) {
       if (v <= 1) continue;  // keep the intra-group link
       if (!cut.empty()) cut += ", ";
-      cut += "[" + std::to_string(u) + ", " + std::to_string(v) + "]";
+      cut += '[';
+      cut += std::to_string(u) + ", " + std::to_string(v) + "]";
     }
   }
   doc = "{\"schema\": \"polarfly-suite/1\", \"scenarios\": ["
@@ -572,7 +622,8 @@ TEST(SuiteRunner, ParallelSchedulerSkipsAndKeepsOrder) {
     for (const std::int32_t v : df.graph.neighbors(u)) {
       if (v <= 1) continue;
       if (!cut.empty()) cut += ", ";
-      cut += "[" + std::to_string(u) + ", " + std::to_string(v) + "]";
+      cut += '[';
+      cut += std::to_string(u) + ", " + std::to_string(v) + "]";
     }
   }
   const std::string doc =
@@ -842,8 +893,20 @@ TEST(Results, RecordKeyIsStableAcrossReruns) {
   record.routing = "MIN";
   record.pattern = "uniform";
   record.seed = 42;
-  record.points.push_back({0.3, 0.29, 20.0, 40.0, true, 2.0, 1234});
-  record.points.push_back({0.6, 0.55, 31.0, 60.0, true, 2.0, 1234});
+  const auto point = [](double offered, double accepted, double avg_latency,
+                         double p99_latency) {
+    exp::RunPoint p;
+    p.offered = offered;
+    p.accepted = accepted;
+    p.avg_latency = avg_latency;
+    p.p99_latency = p99_latency;
+    p.converged = true;
+    p.mean_hops = 2.0;
+    p.cycles = 1234;
+    return p;
+  };
+  record.points.push_back(point(0.3, 0.29, 20.0, 40.0));
+  record.points.push_back(point(0.6, 0.55, 31.0, 60.0));
   const std::string key = exp::record_key(record);
   EXPECT_NE(key.find("loads=0.3..0.6/2"), std::string::npos) << key;
 

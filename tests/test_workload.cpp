@@ -321,6 +321,80 @@ TEST(Workload, SpecParsingRejectsAbuse) {
             "bursty:bursts=2,gap=128");
 }
 
+TEST(Workload, SizeCapsRejectBeforeAllocating) {
+  // ranks * phases: alltoall on 8193 ranks needs 8193 * 8192 > 2^26 rows.
+  expect_invalid([] { make("alltoall", 8193); },
+                 "workload \"alltoall\": 8193 ranks x 8192 phases exceeds "
+                 "2^26");
+  // Messages: 4097 ranks x 2^20 single-packet hotspot messages pass
+  // UINT32_MAX while the table itself is one phase wide.
+  expect_invalid([] { make("hotspot:packets=1048576", 4097); },
+                 "workload \"hotspot:packets=1048576\": 4296015872 "
+                 "messages exceed UINT32_MAX");
+  // Receive expectation: 2048 senders x 2^20 packets into rank 0 is 2^31.
+  expect_invalid([] { make("incast:packets=1048576", 2049); },
+                 "workload \"incast:packets=1048576\": rank 0 would expect "
+                 "more than INT32_MAX packets in phase 0");
+  // A replayed trace hits the same expectation cap, with its line number.
+  const std::string big = "{\"rank\":1,\"phase\":0,\"dst\":0,"
+                          "\"packets\":1048576,\"release\":0}\n";
+  std::string text = "{\"schema\":\"polarfly-trace/1\",\"workload\":\"t\","
+                     "\"ranks\":2,\"phases\":1}\n";
+  for (int i = 0; i < 2048; ++i) text += big;
+  expect_invalid([&text] { sim::Workload::from_trace(text, "big.jsonl"); },
+                 "big.jsonl line 2049: rank 0 would expect more than "
+                 "INT32_MAX packets in phase 0");
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Workload, GeneratorOutputIsPinned) {
+  // FNV-1a of every generator's trace, recorded before the generators
+  // were reordered to emit rank-major: any change to a message, or to
+  // the order within a (rank, phase), moves the hash. 60 ranks is not a
+  // power of two, so rd_allreduce's fold-in phases are covered.
+  struct Pin {
+    const char* spec;
+    int ranks;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"alltoall", 57, 0x690319a1a214d7a9ULL},
+      {"alltoall:packets=3", 57, 0x6696ca4efa38d2eaULL},
+      {"ring_allreduce", 57, 0xa581772a91fb7515ULL},
+      {"rd_allreduce", 57, 0x436e81c63d2718c2ULL},
+      {"stencil2d", 57, 0x4fb464582be39095ULL},
+      {"stencil3d:iters=2,packets=2", 57, 0xa70aa27ffbb04d48ULL},
+      {"bursty", 57, 0x7e94c99d2a9ffe33ULL},
+      {"bursty:bursts=3,gap=64", 57, 0x9b921810ad723008ULL},
+      {"hotspot:bias=80", 57, 0x7373717aedcbd008ULL},
+      {"incast", 57, 0x443d9686ced6c027ULL},
+      {"incast:targets=4", 57, 0x5c5c00ab347d2461ULL},
+      {"alltoall", 60, 0x32337cd1ec09373aULL},
+      {"alltoall:packets=3", 60, 0x8765f9cd86d5d0f1ULL},
+      {"ring_allreduce", 60, 0x8b73f86d9667b611ULL},
+      {"rd_allreduce", 60, 0xd5c65fe9c5bddbe8ULL},
+      {"stencil2d", 60, 0x7743726e3a7ba0bfULL},
+      {"stencil3d:iters=2,packets=2", 60, 0x284d2fdb8304d2faULL},
+      {"bursty", 60, 0x0c9cdedb999b0ae1ULL},
+      {"bursty:bursts=3,gap=64", 60, 0x3f4d44a6795125f4ULL},
+      {"hotspot:bias=80", 60, 0xd65dacacaf405a78ULL},
+      {"incast", 60, 0xe4ab19297105b5deULL},
+      {"incast:targets=4", 60, 0x9f2993f0527d367bULL},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(fnv1a(make(pin.spec, pin.ranks, 779712)->to_trace()), pin.hash)
+        << pin.spec << " @ " << pin.ranks << " ranks";
+  }
+}
+
 // ---- trace round-trip ----------------------------------------------------
 
 TEST(WorkloadTrace, ToTraceFromTraceIsBitIdentical) {
