@@ -150,7 +150,6 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
   // uniform draw of the first gap sample, and that draw's log1p(-u)
   // (the offered load only enters the gap through the denominator, so
   // the numerator is reusable across every reset).
-  next_inject_.assign(terminals_.size(), kNeverInject);
   inj_snap0_.reserve(terminals_.size());
   inj_snap1_.reserve(terminals_.size());
   inj_log1m_u_.resize(terminals_.size());
@@ -209,160 +208,65 @@ void Network::reset(double load) {
 }
 
 void Network::reset_state() {
-  if (config_.full_rebuild_reset) {
-    reset_injection_full();
-    reset_arrays_full();
-  } else {
-    reset_injection_fast();
-    reset_arrays_fast();
-  }
+  reset_injection();
+  reset_arrays();
   reset_scalars();
 }
 
-void Network::reset_injection_full() {
+void Network::reset_injection() {
+  inject_heap_.clear();
   if (workload_mode_) {
     // Workload mode replaces the Bernoulli schedule entirely: fresh
-    // per-terminal RNG streams (still consumed for sub-VC draws), an
-    // empty heap (wl_reset seeds it), and never the linear scan — the
-    // heap pops entries <= cycle_ while the scan matches == cycle_, and
-    // delivery-triggered wakes would diverge under the scan.
-    scan_mode_ = false;
+    // per-terminal RNG streams (still consumed for sub-VC draws) and an
+    // empty heap (wl_reset seeds it).
     inj_log1m_p_ = 0.0;
     terminal_rng_ = inj_snap0_;
-    std::fill(next_inject_.begin(), next_inject_.end(), kNeverInject);
-    inject_heap_.clear();
     return;
   }
-  // Rebuild every terminal's injection stream and schedule. The first
-  // wakeup is sampled as if the previous injection happened at cycle -1,
-  // so P(first injection at cycle 0) is exactly the per-cycle rate.
-  //
-  // Wakeup structure: the heap costs ~2 log2(T) sifts per arrival, the
-  // scan one comparison per terminal per cycle; with arrival probability
-  // p per terminal the scan is cheaper once p * 2 log2(T) > ~1. Either
-  // way the processed schedule is identical.
+  // Every terminal's first wakeup is sampled as if its previous injection
+  // happened at cycle -1, so P(first injection at cycle 0) is exactly the
+  // per-cycle rate. No RNG stream is re-derived: the captured states are
+  // restored and each first gap is recomputed from the captured
+  // log1p(-u) — injection_gap's exact floor(log1p(-u) / log1p(-p))
+  // arithmetic on the exact same doubles. The heap is built by one
+  // make_heap; a min-heap of distinct (time, terminal) pairs pops in an
+  // order determined by its contents alone.
   const double p =
       load_ / static_cast<double>(std::max(1, config_.packet_size));
-  const double log2_t = std::log2(
-      static_cast<double>(std::max<std::size_t>(2, terminals_.size())));
-  // The event core needs the heap: the injection schedule IS its wakeup
-  // source, and the scan assumes every cycle is visited.
-  scan_mode_ = (config_.scan_injection || p * 2.0 * log2_t >= 1.0) &&
-               !event_mode_;
   // Hoist the constant denominator of injection_gap's inverse-CDF sample
   // (one log1p per reset instead of one per packet); the division is
   // unchanged, so every sampled gap is bit-identical.
   inj_log1m_p_ = (p > 0.0 && p < 1.0) ? std::log1p(-p) : 0.0;
-  terminal_rng_.clear();
-  terminal_rng_.reserve(terminals_.size());
-  next_inject_.assign(terminals_.size(), kNeverInject);
-  inject_heap_.clear();
-  for (std::size_t t = 0; t < terminals_.size(); ++t) {
-    terminal_rng_.emplace_back(config_.seed +
-                               0x9e3779b97f4a7c15ULL *
-                                   (static_cast<std::uint64_t>(t) + 1));
-    const std::int64_t gap = injection_gap(terminal_rng_[t]);
-    if (gap < kNeverInject) {
-      schedule_terminal(static_cast<int>(t), -1 + gap);
-    }
-  }
-}
-
-void Network::reset_injection_fast() {
-  if (workload_mode_) {
-    // Identical to the full path: the workload schedule has no captured
-    // first draw to restore.
-    scan_mode_ = false;
-    inj_log1m_p_ = 0.0;
-    terminal_rng_ = inj_snap0_;
-    std::fill(next_inject_.begin(), next_inject_.end(), kNeverInject);
-    inject_heap_.clear();
-    return;
-  }
-  // Same schedule as reset_injection_full, without re-deriving any RNG
-  // stream: restore the captured states and recompute each first gap
-  // from the captured log1p(-u) — injection_gap's exact floor(log1p(-u)
-  // / log1p(-p)) arithmetic on the exact same doubles. The heap is
-  // rebuilt by one make_heap; a min-heap of distinct (time, terminal)
-  // pairs pops in an order determined by its contents alone, so the
-  // layout difference vs. repeated push_heap is unobservable.
-  const double p =
-      load_ / static_cast<double>(std::max(1, config_.packet_size));
-  const double log2_t = std::log2(
-      static_cast<double>(std::max<std::size_t>(2, terminals_.size())));
-  scan_mode_ = (config_.scan_injection || p * 2.0 * log2_t >= 1.0) &&
-               !event_mode_;
-  inj_log1m_p_ = (p > 0.0 && p < 1.0) ? std::log1p(-p) : 0.0;
-  inject_heap_.clear();
   if (p <= 0.0) {
     // injection_gap returns kNeverInject without drawing: fresh streams.
     terminal_rng_ = inj_snap0_;
-    std::fill(next_inject_.begin(), next_inject_.end(), kNeverInject);
     return;
   }
   if (p >= 1.0) {
     // injection_gap returns 1 without drawing: fresh streams, every
     // terminal due at cycle -1 + 1 = 0.
     terminal_rng_ = inj_snap0_;
-    std::fill(next_inject_.begin(), next_inject_.end(), 0);
-    if (!scan_mode_) {
-      for (std::size_t t = 0; t < terminals_.size(); ++t) {
-        inject_heap_.emplace_back(0, static_cast<int>(t));
-      }
-      std::make_heap(inject_heap_.begin(), inject_heap_.end(),
-                     std::greater<>());
+    for (std::size_t t = 0; t < terminals_.size(); ++t) {
+      inject_heap_.emplace_back(0, static_cast<int>(t));
     }
-    return;
-  }
-  terminal_rng_ = inj_snap1_;  // the one uniform draw is consumed
-  for (std::size_t t = 0; t < terminals_.size(); ++t) {
-    const double failures = std::floor(inj_log1m_u_[t] / inj_log1m_p_);
-    if (!(failures < static_cast<double>(kNeverInject))) {
-      next_inject_[t] = kNeverInject;
-      continue;
+  } else {
+    terminal_rng_ = inj_snap1_;  // the one uniform draw is consumed
+    for (std::size_t t = 0; t < terminals_.size(); ++t) {
+      const double failures = std::floor(inj_log1m_u_[t] / inj_log1m_p_);
+      if (!(failures < static_cast<double>(kNeverInject))) continue;
+      const std::int64_t at =
+          static_cast<std::int64_t>(std::max(0.0, failures));  // -1 + gap
+      inject_heap_.emplace_back(at, static_cast<int>(t));
     }
-    const std::int64_t at =
-        static_cast<std::int64_t>(std::max(0.0, failures));  // -1 + gap
-    next_inject_[t] = at;
-    if (!scan_mode_) inject_heap_.emplace_back(at, static_cast<int>(t));
   }
-  if (!scan_mode_) {
-    std::make_heap(inject_heap_.begin(), inject_heap_.end(),
-                   std::greater<>());
-  }
+  std::make_heap(inject_heap_.begin(), inject_heap_.end(), std::greater<>());
 }
 
-void Network::reset_arrays_full() {
-  std::fill(channel_occupancy_.begin(), channel_occupancy_.end(), 0);
-  std::fill(waiting_for_output_.begin(), waiting_for_output_.end(), 0);
-  std::fill(ring_head_.begin(), ring_head_.end(), 0);
-  std::fill(ring_size_.begin(), ring_size_.end(), 0);
-  std::fill(vc_nonempty_.begin(), vc_nonempty_.end(), 0);
-  std::fill(link_busy_until_.begin(), link_busy_until_.end(), 0);
-  std::fill(router_backlog_.begin(), router_backlog_.end(), 0);
-  for (auto& pool : injection_pool_) pool.clear();
-  // Dirty marking runs regardless of which reset path will consume it;
-  // the full clear leaves nothing dirty.
-  for (const std::int32_t c : dirty_channels_) {
-    channel_dirty_[static_cast<std::size_t>(c)] = 0;
-  }
-  dirty_channels_.clear();
-  for (const int v : dirty_routers_) {
-    router_dirty_[static_cast<std::size_t>(v)] = 0;
-  }
-  dirty_routers_.clear();
-  if (event_mode_) {
-    std::fill(in_nonempty_.begin(), in_nonempty_.end(), 0);
-    std::fill(agenda_tag_.begin(), agenda_tag_.end(),
-              std::numeric_limits<std::int64_t>::min());
-  }
-}
-
-void Network::reset_arrays_fast() {
+void Network::reset_arrays() {
   // O(touched): only channels that ever buffered/reserved a packet and
   // routers that ever had backlog since the previous reset are cleared.
   //
-  // ring_head_ is deliberately NOT reset on this path: a VC ring's head
+  // ring_head_ is deliberately NOT reset: a VC ring's head
   // offset is unobservable — pushes land at (head + size) % cap and pops
   // read from head, so FIFO contents and order are identical for any
   // head. Only ring_size_ carries simulation state.
@@ -507,8 +411,6 @@ std::int64_t Network::injection_gap(util::Rng& rng) const {
 }
 
 void Network::schedule_terminal(int t, std::int64_t at) {
-  next_inject_[static_cast<std::size_t>(t)] = at;
-  if (scan_mode_) return;  // the scan walks next_inject_
   inject_heap_.emplace_back(at, t);
   std::push_heap(inject_heap_.begin(), inject_heap_.end(),
                  std::greater<>());
@@ -573,16 +475,6 @@ void Network::process_due_terminal(int t) {
 }
 
 void Network::inject_new_packets() {
-  if (scan_mode_) {
-    // O(terminals) walk of the same schedule, processed in ascending
-    // terminal order — the order the heap pops ties in.
-    for (std::size_t t = 0; t < terminals_.size(); ++t) {
-      if (next_inject_[t] == cycle_) {
-        process_due_terminal(static_cast<int>(t));
-      }
-    }
-    return;
-  }
   while (!inject_heap_.empty() && inject_heap_.front().first <= cycle_) {
     const int t = inject_heap_.front().second;
     std::pop_heap(inject_heap_.begin(), inject_heap_.end(),
@@ -670,9 +562,6 @@ void Network::apply_fault(const FaultEvent& event, std::size_t index) {
   router_dead_[static_cast<std::size_t>(event.u)] = 1;
   for (const std::int32_t v : graph_.neighbors(event.u)) {
     kill_link(event.u, static_cast<int>(v));
-  }
-  for (std::size_t t = 0; t < terminals_.size(); ++t) {
-    if (terminals_[t] == event.u) next_inject_[t] = kNeverInject;
   }
 }
 

@@ -28,11 +28,8 @@
 // next-injection time sampled in closed form from the geometric
 // inter-arrival distribution of the Bernoulli(load/packet_size) process,
 // and a min-heap of (time, terminal) wakes exactly the terminals due
-// this cycle — O(arrivals log T) per cycle instead of the former
-// O(terminals) Bernoulli scan. The per-terminal streams make the
-// process independent of wakeup order; SimConfig::scan_injection selects
-// a reference O(terminals) scan of the same schedule that is bit-
-// identical to the heap (tested) and exists only for that test.
+// this cycle — O(arrivals log T) per cycle, under both engines. The
+// per-terminal streams make the process independent of wakeup order.
 #pragma once
 
 #include <algorithm>
@@ -125,17 +122,6 @@ struct SimConfig {
   std::uint64_t seed = 42;
   /// Simulator core for run_phases(); bit-identical either way.
   SimEngine engine = SimEngine::Event;
-  /// Force the linear-walk injection path regardless of load (reset()
-  /// otherwise picks walk vs heap by arrival density). Bit-identical
-  /// either way; the equivalence test sets it to pin the walk against a
-  /// heap-chosen twin. Not part of any serialized schema.
-  bool scan_injection = false;
-  /// Use the full O(network) state rebuild in reset() instead of the
-  /// default incremental path that only touches state dirtied since the
-  /// last run. Bit-identical either way; exists as the reference
-  /// implementation for the equivalence tests and as the "before" side
-  /// of bench/micro_reset. Not part of any serialized schema.
-  bool full_rebuild_reset = false;
   /// Progress watchdog: during measure/drain, if no packet is delivered
   /// for this many cycles while measured packets are outstanding, the
   /// run terminates with stalled() = true instead of spinning. 0 picks
@@ -193,8 +179,7 @@ class Network {
   /// one, without rebuilding the channel indexing. Cost is O(state
   /// touched since the last reset), not O(network): per-channel and
   /// per-router state is cleared off dirty lists and the injection
-  /// schedule is restored from construction-time RNG snapshots
-  /// (config.full_rebuild_reset selects the reference full rebuild).
+  /// schedule is restored from construction-time RNG snapshots.
   void reset(double load);
 
   /// The congestion adaptive routing reads for link u -> v: flits
@@ -327,26 +312,17 @@ class Network {
            static_cast<std::size_t>(vc);
   }
   void reset_state();
-  /// Reference injection-schedule rebuild: reconstructs every terminal
-  /// RNG stream from its seed and samples the first gap per terminal.
-  void reset_injection_full();
-  /// Incremental twin: restores the pre-captured post-first-draw RNG
-  /// states and derives each first wakeup in closed form from the
-  /// captured log1p(-u) — the draw itself is load-independent, only the
-  /// denominator log1p(-p) changes per reset. Bit-identical to the full
-  /// rebuild (the heap is refilled by make_heap; pop order from a
-  /// min-heap of distinct (time, terminal) pairs depends only on its
-  /// contents, never its layout).
-  void reset_injection_fast();
-  /// Reference O(network) array clear.
-  void reset_arrays_full();
+  /// Rebuilds the injection heap: restores the pre-captured
+  /// post-first-draw RNG states and derives each first wakeup in closed
+  /// form from the captured log1p(-u) — the draw itself is
+  /// load-independent, only the denominator log1p(-p) changes per reset.
+  void reset_injection();
   /// Clears only channels/routers on the dirty lists (state touched
   /// since the previous reset) — O(touched), not O(network).
-  void reset_arrays_fast();
-  /// Scalars, measurement, telemetry, and fault-residue reset shared by
-  /// both paths.
+  void reset_arrays();
+  /// Scalars, measurement, telemetry, and fault-residue reset.
   void reset_scalars();
-  /// First-touch dirty tracking feeding reset_arrays_fast. The byte
+  /// First-touch dirty tracking feeding reset_arrays. The byte
   /// flags make re-marking free; the lists bound the clear cost.
   void mark_channel(std::size_t c) {
     if (!channel_dirty_[c]) {
@@ -509,14 +485,9 @@ class Network {
   std::vector<std::int64_t> terminal_inject_free_;
 
   // Event-driven injection: per-terminal RNG streams (destination and
-  // sub-VC draws included, so wakeup order cannot perturb the process),
-  // the next injection time per terminal, and the (time, terminal)
-  // min-heap that wakes due terminals. Both wakeup structures walk the
-  // same schedule and are bit-identical; reset() picks the heap when
-  // arrivals are sparse (low load) and the linear walk when dense —
-  // scan_mode_ is pure mechanics, never statistics.
+  // sub-VC draws included, so wakeup order cannot perturb the process)
+  // and the (time, terminal) min-heap that wakes due terminals.
   std::vector<util::Rng> terminal_rng_;
-  std::vector<std::int64_t> next_inject_;
   std::vector<std::pair<std::int64_t, int>> inject_heap_;
   // Construction-time capture for the incremental reset: the fresh
   // per-terminal RNG states (inj_snap0_), the states after the one
@@ -527,7 +498,6 @@ class Network {
   std::vector<util::Rng> inj_snap0_;
   std::vector<util::Rng> inj_snap1_;
   std::vector<double> inj_log1m_u_;
-  bool scan_mode_ = false;
   /// Hoisted denominator of injection_gap's inverse-CDF sample,
   /// log1p(-load/packet_size); the division itself is untouched so the
   /// sampled gaps stay bit-identical to the unhoisted form.
@@ -587,14 +557,14 @@ class Network {
   int active_routers_ = 0;
   static constexpr int kSaturatedNum = 3;  ///< fast path at >= 3/4 active
   static constexpr int kSaturatedDen = 4;
-  /// reset_arrays_fast switches from per-dirty-channel clears to the
+  /// reset_arrays switches from per-dirty-channel clears to the
   /// contiguous full-array fills once more than 1/kBulkClearDiv of the
   /// channels are dirty (scattered stores lose to fill bandwidth there).
   static constexpr std::size_t kBulkClearDiv = 8;
 
   // Dirty tracking for the incremental reset: channels that ever held or
   // reserved a packet and routers that ever had backlog since the last
-  // reset. reset_arrays_fast clears exactly these.
+  // reset. reset_arrays clears exactly these.
   std::vector<std::int32_t> dirty_channels_;
   std::vector<char> channel_dirty_;
   std::vector<int> dirty_routers_;

@@ -102,44 +102,112 @@ void MinimalRouting::route(const Network& net, int src, int dst,
   oracle_.sample_min_path(graph_, src, dst, rng, out);
 }
 
+namespace {
+
+// One body per adaptive routing over a (graph, oracle) view: route()
+// passes the intact tables, route_degraded() the live-links view. The
+// reachability checks also keep detours off routers a static failure
+// isolated. They read along row dst (the oracle is symmetric), the row
+// sample_min_path walks anyway.
+
+/// No usable path: dst unreachable, or the direct route overflows.
+bool unusable(const DistanceOracle& oracle, int src, int dst) {
+  const int direct = oracle.distance(dst, src);
+  return direct < 0 || direct + 1 > Route::kMaxLen;
+}
+
+void valiant(const graph::Graph& g, const DistanceOracle& oracle, int src,
+             int dst, util::Rng& rng, Route& out) {
+  if (unusable(oracle, src, dst)) return;
+  const int n = g.num_vertices();
+  // A random intermediate that is connected to both ends (and whose
+  // detour fits a Route); fall back to the direct minimal path when none
+  // turns up.
+  int mid = -1;
+  for (int tries = 0; tries < 8; ++tries) {
+    const int cand = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+    if (cand == src || cand == dst) continue;
+    const int to_cand = oracle.distance(cand, src);
+    const int from_cand = oracle.distance(dst, cand);
+    if (to_cand >= 0 && from_cand >= 0 &&
+        to_cand + from_cand + 1 <= Route::kMaxLen) {
+      mid = cand;
+      break;
+    }
+  }
+  if (mid < 0) {
+    oracle.sample_min_path(g, src, dst, rng, out);
+    return;
+  }
+  oracle.sample_min_path(g, src, mid, rng, out);
+  oracle.sample_min_path(g, mid, dst, rng, out);
+}
+
+void compact_valiant(const graph::Graph& g, const DistanceOracle& oracle,
+                     int src, int dst, util::Rng& rng, Route& out) {
+  if (unusable(oracle, src, dst)) return;
+  const auto row = g.neighbors(src);
+  // A random neighbor that isn't the destination and still reaches it.
+  int mid = -1;
+  for (int tries = 0; tries < 8 && row.size() != 0; ++tries) {
+    const int cand = row[rng.below(row.size())];
+    const int rest = oracle.distance(dst, cand);
+    if (cand != dst && rest >= 0 && rest + 2 <= Route::kMaxLen) {
+      mid = cand;
+      break;
+    }
+  }
+  if (mid < 0) {
+    oracle.sample_min_path(g, src, dst, rng, out);
+    return;
+  }
+  out.push(src);
+  out.push(mid);
+  oracle.sample_min_path(g, mid, dst, rng, out);
+}
+
+}  // namespace
+
 void ValiantRouting::route(const Network& net, int src, int dst,
                            util::Rng& rng, Route& out) const {
   (void)net;
-  const int n = graph_.num_vertices();
-  if (n < 3) {  // no third vertex to detour through
-    oracle_.sample_min_path(graph_, src, dst, rng, out);
-    return;
-  }
-  int mid = src;
-  while (mid == src || mid == dst) {
-    mid = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  }
-  oracle_.sample_min_path(graph_, src, mid, rng, out);
-  oracle_.sample_min_path(graph_, mid, dst, rng, out);
+  valiant(graph_, oracle_, src, dst, rng, out);
+}
+
+void ValiantRouting::route_degraded(const Network& net, const graph::Graph& g,
+                                    const DistanceOracle& oracle, int src,
+                                    int dst, util::Rng& rng,
+                                    Route& out) const {
+  (void)net;
+  valiant(g, oracle, src, dst, rng, out);
 }
 
 void CompactValiantRouting::route(const Network& net, int src, int dst,
                                   util::Rng& rng, Route& out) const {
   (void)net;
-  const auto row = graph_.neighbors(src);
-  // A random neighbor that isn't the destination (if one exists).
-  int mid = dst;
-  for (int tries = 0; tries < 8 && mid == dst; ++tries) {
-    mid = row[rng.below(row.size())];
-  }
-  if (mid == dst) {
-    oracle_.sample_min_path(graph_, src, dst, rng, out);
-    return;
-  }
-  out.push(src);
-  out.push(mid);
-  oracle_.sample_min_path(graph_, mid, dst, rng, out);
+  compact_valiant(graph_, oracle_, src, dst, rng, out);
+}
+
+void CompactValiantRouting::route_degraded(const Network& net,
+                                           const graph::Graph& g,
+                                           const DistanceOracle& oracle,
+                                           int src, int dst, util::Rng& rng,
+                                           Route& out) const {
+  (void)net;
+  compact_valiant(g, oracle, src, dst, rng, out);
 }
 
 void UgalRouting::route(const Network& net, int src, int dst,
                         util::Rng& rng, Route& out) const {
+  UgalRouting::route_degraded(net, graph_, oracle_, src, dst, rng, out);
+}
+
+void UgalRouting::route_degraded(const Network& net, const graph::Graph& g,
+                                 const DistanceOracle& oracle, int src,
+                                 int dst, util::Rng& rng, Route& out) const {
+  if (unusable(oracle, src, dst)) return;
   Route minimal;
-  oracle_.sample_min_path(graph_, src, dst, rng, minimal);
+  oracle.sample_min_path(g, src, dst, rng, minimal);
   if (minimal.len < 2) {  // src == dst
     out = minimal;
     return;
@@ -155,9 +223,9 @@ void UgalRouting::route(const Network& net, int src, int dst,
 
   Route detour;
   if (compact_) {
-    CompactValiantRouting(graph_, oracle_).route(net, src, dst, rng, detour);
+    compact_valiant(g, oracle, src, dst, rng, detour);
   } else {
-    ValiantRouting(graph_, oracle_).route(net, src, dst, rng, detour);
+    valiant(g, oracle, src, dst, rng, detour);
   }
   if (detour.len < 2) {
     out = minimal;
@@ -165,103 +233,6 @@ void UgalRouting::route(const Network& net, int src, int dst,
   }
 
   // Classic UGAL decision: queue length x path length.
-  const std::int64_t min_cost =
-      static_cast<std::int64_t>(net.out_queue_flits(src, minimal.hops[1])) *
-      (minimal.len - 1);
-  const std::int64_t detour_cost =
-      static_cast<std::int64_t>(net.out_queue_flits(src, detour.hops[1])) *
-      (detour.len - 1);
-  out = min_cost <= detour_cost ? minimal : detour;
-}
-
-void ValiantRouting::route_degraded(const Network& net, const graph::Graph& g,
-                                    const DistanceOracle& oracle, int src,
-                                    int dst, util::Rng& rng,
-                                    Route& out) const {
-  (void)net;
-  const int direct = oracle.distance(src, dst);
-  if (direct < 0 || direct + 1 > Route::kMaxLen) return;  // no usable path
-  const int n = g.num_vertices();
-  // A random intermediate that is still connected to both ends (and whose
-  // detour fits a Route); fall back to the direct minimal path when none
-  // turns up.
-  int mid = -1;
-  for (int tries = 0; tries < 8; ++tries) {
-    const int cand = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-    if (cand != src && cand != dst && oracle.distance(src, cand) >= 0 &&
-        oracle.distance(cand, dst) >= 0 &&
-        oracle.distance(src, cand) + oracle.distance(cand, dst) + 1 <=
-            Route::kMaxLen) {
-      mid = cand;
-      break;
-    }
-  }
-  if (mid < 0) {
-    oracle.sample_min_path(g, src, dst, rng, out);
-    return;
-  }
-  oracle.sample_min_path(g, src, mid, rng, out);
-  oracle.sample_min_path(g, mid, dst, rng, out);
-}
-
-void CompactValiantRouting::route_degraded(const Network& net,
-                                           const graph::Graph& g,
-                                           const DistanceOracle& oracle,
-                                           int src, int dst, util::Rng& rng,
-                                           Route& out) const {
-  (void)net;
-  const int direct = oracle.distance(src, dst);
-  if (direct < 0 || direct + 1 > Route::kMaxLen) return;  // no usable path
-  const auto row = g.neighbors(src);
-  int mid = -1;
-  for (int tries = 0; tries < 8 && row.size() != 0; ++tries) {
-    const int cand = row[rng.below(row.size())];
-    if (cand != dst && oracle.distance(cand, dst) >= 0 &&
-        oracle.distance(cand, dst) + 2 <= Route::kMaxLen) {
-      mid = cand;
-      break;
-    }
-  }
-  if (mid < 0) {
-    oracle.sample_min_path(g, src, dst, rng, out);
-    return;
-  }
-  out.push(src);
-  out.push(mid);
-  oracle.sample_min_path(g, mid, dst, rng, out);
-}
-
-void UgalRouting::route_degraded(const Network& net, const graph::Graph& g,
-                                 const DistanceOracle& oracle, int src,
-                                 int dst, util::Rng& rng, Route& out) const {
-  // Same decision rule as route(), but paths come from the degraded
-  // graph: UGAL keeps adapting around dead links instead of replaying
-  // stale tables.
-  const int direct = oracle.distance(src, dst);
-  if (direct < 0 || direct + 1 > Route::kMaxLen) return;  // no usable path
-  Route minimal;
-  oracle.sample_min_path(g, src, dst, rng, minimal);
-  if (minimal.len < 2) {
-    out = minimal;
-    return;
-  }
-  if (threshold_ > 0.0 &&
-      net.first_hop_occupancy(src, minimal.hops[1]) <= threshold_) {
-    out = minimal;
-    return;
-  }
-  Route detour;
-  if (compact_) {
-    CompactValiantRouting(g, oracle)
-        .route_degraded(net, g, oracle, src, dst, rng, detour);
-  } else {
-    ValiantRouting(g, oracle)
-        .route_degraded(net, g, oracle, src, dst, rng, detour);
-  }
-  if (detour.len < 2) {
-    out = minimal;
-    return;
-  }
   const std::int64_t min_cost =
       static_cast<std::int64_t>(net.out_queue_flits(src, minimal.hops[1])) *
       (minimal.len - 1);

@@ -82,6 +82,8 @@ class RoutingAlgorithm {
   /// Routing on a live-links-only view of the network (runtime faults).
   /// `g`/`oracle` describe the degraded graph; implementations that can
   /// should path on them and leave `out` empty when dst is unreachable.
+  /// VAL, CVAL and UGAL share one body between both entry points: route()
+  /// is route_degraded() on the intact (graph, oracle) view.
   /// The default keeps the intact tables (stale routes — the caller
   /// rejection-samples against dead links), which is how MIN ends up
   /// reporting unreachable pairs instead of adapting.
@@ -110,7 +112,9 @@ class MinimalRouting final : public RoutingAlgorithm {
 };
 
 /// Valiant: minimal to a uniformly random intermediate router, then
-/// minimal to the destination.
+/// minimal to the destination. Draws that hit src, dst or a router
+/// unreachable from either are redrawn; after 8 such draws the packet
+/// takes the minimal path.
 class ValiantRouting final : public RoutingAlgorithm {
  public:
   ValiantRouting(const graph::Graph& g, const DistanceOracle& oracle)

@@ -199,6 +199,96 @@ TEST(Routing, MinimalIsShortest) {
   }
 }
 
+/// Folds the eight little-endian bytes of `value` into an FNV-1a hash.
+void fnv1a(std::uint64_t& h, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (value >> (8 * byte)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+TEST(Routing, AdaptiveRoutesArePinned) {
+  // FNV-1a of every route VAL, CVAL, UGAL and UGAL-PF draw over all
+  // ordered router pairs, then of the RNG's next draw (its final state),
+  // recorded before route() and route_degraded() shared one body. The
+  // degraded view isolates router 5 and drops three links of router 1,
+  // so unreachable destinations and intermediates are pinned too.
+  const core::PolarFly pf7(7);
+  const topo::Torus torus(5, 2);
+  struct Pin {
+    std::uint64_t intact[4];
+    std::uint64_t degraded[4];
+  };
+  const Pin pins[] = {
+      {{0x6102810ae3164d44ULL, 0xce35cf33851f871bULL, 0xda1b7d7d8e5b17bcULL,
+        0xeb74c9b12fa55ae4ULL},
+       {0x1c4f842d8caac1adULL, 0x6bbaca564ea5f773ULL, 0x97b12dd1daa49142ULL,
+        0xa88532ca9d01ff00ULL}},
+      {{0x5333ec817ff0a7a4ULL, 0x65a8c38882f2d5ceULL, 0xea2d0d23a347ace3ULL,
+        0xa7b1dc5c3f766becULL},
+       {0x4e269ae2e68ec212ULL, 0xe0665c70e3321569ULL, 0xb653566dc8cc2fdbULL,
+        0x3eb4d4c70719afe4ULL}},
+  };
+  const graph::Graph* graphs[] = {&pf7.graph(), &torus.graph()};
+  for (std::size_t gi = 0; gi < 2; ++gi) {
+    const graph::Graph& g = *graphs[gi];
+    const int n = g.num_vertices();
+    std::vector<graph::Edge> live;
+    int dropped = 0;
+    for (int u = 0; u < n; ++u) {
+      for (const std::int32_t v : g.neighbors(u)) {
+        if (u >= v || u == 5 || v == 5) continue;
+        if (u == 1 && dropped < 3) {
+          ++dropped;
+          continue;
+        }
+        live.emplace_back(u, v);
+      }
+    }
+    const graph::Graph view = graph::Graph::from_edges(n, std::move(live));
+    const sim::DistanceOracle oracle(g);
+    const sim::DistanceOracle view_oracle(view);
+    const auto endpoints = sim::uniform_endpoints(n, 2);
+    const sim::UniformTraffic pattern(sim::terminal_routers(endpoints));
+    const sim::MinimalRouting minimal(g, oracle);
+    const sim::Network idle(g, endpoints, minimal, pattern, sim::SimConfig{},
+                            0.0);
+    const sim::ValiantRouting val(g, oracle);
+    const sim::CompactValiantRouting cval(g, oracle);
+    const sim::UgalRouting ugal(g, oracle, false);
+    const sim::UgalRouting ugal_pf(g, oracle, true);
+    const sim::RoutingAlgorithm* schemes[] = {&val, &cval, &ugal, &ugal_pf};
+    for (std::size_t k = 0; k < 4; ++k) {
+      for (const bool degraded : {false, true}) {
+        util::Rng rng(779712);
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (int s = 0; s < n; ++s) {
+          for (int d = 0; d < n; ++d) {
+            if (s == d) continue;
+            sim::Route route;
+            if (degraded) {
+              schemes[k]->route_degraded(idle, view, view_oracle, s, d, rng,
+                                         route);
+            } else {
+              schemes[k]->route(idle, s, d, rng, route);
+            }
+            fnv1a(h, static_cast<std::uint64_t>(route.len));
+            for (int i = 0; i < route.len; ++i) {
+              fnv1a(h, static_cast<std::uint64_t>(
+                           route.hops[static_cast<std::size_t>(i)]));
+            }
+          }
+        }
+        fnv1a(h, rng.next());
+        EXPECT_EQ(h, degraded ? pins[gi].degraded[k] : pins[gi].intact[k])
+            << schemes[k]->name() << " graph " << gi
+            << (degraded ? " degraded" : " intact") << " 0x" << std::hex
+            << h;
+      }
+    }
+  }
+}
+
 TEST(Routing, FatTreeNca) {
   const topo::FatTree ft(3, 4);
   const sim::FatTreeNcaRouting nca(ft);
@@ -400,45 +490,38 @@ TEST(Simulator, ResetIsBitIdenticalToFreshConstruction) {
   EXPECT_GT(reference.delivered_packets, 0);
 }
 
-/// Drives an incremental-reset network and a full-rebuild twin through
-/// the same reset+run sequence and expects bit-identical statistics
-/// after every leg. The incremental path must be indistinguishable no
-/// matter what the previous run left behind.
-void expect_reset_paths_bit_equal(const PfFixture& fx,
-                                  const sim::RoutingAlgorithm& routing,
-                                  const sim::TrafficPattern& pattern,
-                                  sim::SimConfig config,
-                                  const std::vector<double>& loads) {
-  sim::SimConfig fast_config = config;
-  fast_config.full_rebuild_reset = false;
-  sim::SimConfig full_config = config;
-  full_config.full_rebuild_reset = true;
-  sim::Network fast_net(fx.pf.graph(), fx.endpoints, routing, pattern,
-                        fast_config, loads.front());
-  sim::Network full_net(fx.pf.graph(), fx.endpoints, routing, pattern,
-                        full_config, loads.front());
+/// Drives one network through a reset+run sequence and, after every leg,
+/// expects bit-identical statistics to a network freshly constructed at
+/// that leg's load — the promise Network::reset makes, no matter what the
+/// previous run left behind.
+void expect_reset_matches_fresh(const PfFixture& fx,
+                                const sim::RoutingAlgorithm& routing,
+                                const sim::TrafficPattern& pattern,
+                                const sim::SimConfig& config,
+                                const std::vector<double>& loads) {
+  sim::Network reused(fx.pf.graph(), fx.endpoints, routing, pattern, config,
+                      loads.front());
   for (std::size_t i = 0; i < loads.size(); ++i) {
-    if (i > 0) {
-      fast_net.reset(loads[i]);
-      full_net.reset(loads[i]);
-    }
-    fast_net.run_phases();
-    full_net.run_phases();
-    EXPECT_EQ(fast_net.accepted_load(), full_net.accepted_load())
+    if (i > 0) reused.reset(loads[i]);
+    reused.run_phases();
+    sim::Network fresh(fx.pf.graph(), fx.endpoints, routing, pattern,
+                       config, loads[i]);
+    fresh.run_phases();
+    EXPECT_EQ(reused.accepted_load(), fresh.accepted_load())
         << "leg " << i << " load " << loads[i];
-    EXPECT_EQ(fast_net.avg_latency(), full_net.avg_latency()) << i;
-    EXPECT_EQ(fast_net.p99_latency(), full_net.p99_latency()) << i;
-    EXPECT_EQ(fast_net.delivered_packets(), full_net.delivered_packets());
-    EXPECT_EQ(fast_net.measured_hops(), full_net.measured_hops()) << i;
-    EXPECT_EQ(fast_net.peak_vc_packets(), full_net.peak_vc_packets()) << i;
-    EXPECT_EQ(fast_net.converged(), full_net.converged()) << i;
-    EXPECT_EQ(fast_net.stalled(), full_net.stalled()) << i;
-    EXPECT_EQ(fast_net.current_cycle(), full_net.current_cycle()) << i;
+    EXPECT_EQ(reused.avg_latency(), fresh.avg_latency()) << i;
+    EXPECT_EQ(reused.p99_latency(), fresh.p99_latency()) << i;
+    EXPECT_EQ(reused.delivered_packets(), fresh.delivered_packets()) << i;
+    EXPECT_EQ(reused.measured_hops(), fresh.measured_hops()) << i;
+    EXPECT_EQ(reused.peak_vc_packets(), fresh.peak_vc_packets()) << i;
+    EXPECT_EQ(reused.converged(), fresh.converged()) << i;
+    EXPECT_EQ(reused.stalled(), fresh.stalled()) << i;
+    EXPECT_EQ(reused.current_cycle(), fresh.current_cycle()) << i;
   }
 }
 
-TEST(Simulator, IncrementalResetMatchesFullRebuildBothEngines) {
-  // The O(touched) reset must be bit-identical to the full state rebuild
+TEST(Simulator, ResetMatchesFreshConstructionBothEngines) {
+  // The O(touched) reset must be bit-identical to fresh construction
   // under both cores, across load swings that exercise all three clear
   // tiers: a drained-clean rewind (low load), the scattered dirty-list
   // path, and the mostly-dirty bulk-fill path (saturation).
@@ -451,15 +534,15 @@ TEST(Simulator, IncrementalResetMatchesFullRebuildBothEngines) {
   for (const sim::SimEngine engine :
        {sim::SimEngine::Event, sim::SimEngine::Cycle}) {
     config.engine = engine;
-    expect_reset_paths_bit_equal(fx, ugal, fx.pattern, config,
-                                 {0.3, 0.05, 0.9, 0.3});
+    expect_reset_matches_fresh(fx, ugal, fx.pattern, config,
+                               {0.3, 0.05, 0.9, 0.3});
   }
 }
 
-TEST(Simulator, IncrementalResetAfterFaultedRunMatchesFullRebuild) {
+TEST(Simulator, ResetAfterFaultedRunMatchesFreshConstruction) {
   // A runtime fault timeline dirties state the drained-clean shortcut
   // must not assume away (dead links, flushed packets, reroutes). After
-  // a faulted run, reset + rerun must still match the rebuild twin bit
+  // a faulted run, reset + rerun must still match a fresh network bit
   // for bit — including re-arming the timeline itself.
   PfFixture fx;
   const sim::UgalRouting ugal(fx.pf.graph(), fx.oracle, true, 2.0 / 3.0);
@@ -476,16 +559,15 @@ TEST(Simulator, IncrementalResetAfterFaultedRunMatchesFullRebuild) {
   for (const sim::SimEngine engine :
        {sim::SimEngine::Event, sim::SimEngine::Cycle}) {
     config.engine = engine;
-    expect_reset_paths_bit_equal(fx, ugal, fx.pattern, config,
-                                 {0.3, 0.5, 0.3});
+    expect_reset_matches_fresh(fx, ugal, fx.pattern, config,
+                               {0.3, 0.5, 0.3});
   }
 }
 
-TEST(Simulator, IncrementalResetAfterStalledRunMatchesFullRebuild) {
+TEST(Simulator, ResetAfterStalledRunMatchesFreshConstruction) {
   // A dead router under reinject policy livelocks the drain until the
   // watchdog fires: the stalled run leaves packets in flight (the free
-  // list never refills), which the incremental reset must sweep up
-  // exactly like the rebuild does.
+  // list never refills), which the reset must sweep up exactly.
   PfFixture fx;
   const sim::MinimalRouting min_routing(fx.pf.graph(), fx.oracle);
   sim::SimConfig config;
@@ -499,63 +581,12 @@ TEST(Simulator, IncrementalResetAfterStalledRunMatchesFullRebuild) {
   for (const sim::SimEngine engine :
        {sim::SimEngine::Event, sim::SimEngine::Cycle}) {
     config.engine = engine;
-    sim::SimConfig probe = config;
-    probe.full_rebuild_reset = false;
     sim::Network net(fx.pf.graph(), fx.endpoints, min_routing, fx.pattern,
-                     probe, 0.4);
+                     config, 0.4);
     net.run_phases();
     ASSERT_TRUE(net.stalled());  // the scenario must actually stall
-    expect_reset_paths_bit_equal(fx, min_routing, fx.pattern, config,
-                                 {0.4, 0.4, 0.2});
-  }
-}
-
-TEST(Simulator, InjectionHeapMatchesReferenceScanBitExactly) {
-  // The event-driven injection wakeup heap must be indistinguishable from
-  // the O(terminals) reference scan of the same per-terminal schedule —
-  // at the tracked configs: PF q=5 under MIN/uniform and UGAL-PF/randperm,
-  // across low and saturating loads.
-  PfFixture fx;
-  const sim::MinimalRouting min_routing(fx.pf.graph(), fx.oracle);
-  const sim::UgalRouting ugal(fx.pf.graph(), fx.oracle, true, 2.0 / 3.0);
-  const auto randperm = sim::PermutationTraffic::random(
-      sim::terminal_routers(fx.endpoints), 0xfeedULL);
-
-  sim::SimConfig config;
-  config.warmup_cycles = 300;
-  config.measure_cycles = 500;
-  config.drain_cycles = 1500;
-  // Pin the cycle core: the event core always uses the heap (scan mode
-  // is forced off there), which would turn this into heap vs heap.
-  config.engine = sim::SimEngine::Cycle;
-
-  struct Case {
-    const sim::RoutingAlgorithm* routing;
-    const sim::TrafficPattern* pattern;
-  };
-  const Case cases[] = {{&min_routing, &fx.pattern}, {&ugal, &randperm}};
-  for (const auto& c : cases) {
-    for (const double load : {0.05, 0.3, 0.9}) {
-      sim::SimConfig heap_config = config;
-      heap_config.scan_injection = false;
-      sim::Network heap_net(fx.pf.graph(), fx.endpoints, *c.routing,
-                            *c.pattern, heap_config, load);
-      heap_net.run_phases();
-
-      sim::SimConfig scan_config = config;
-      scan_config.scan_injection = true;
-      sim::Network scan_net(fx.pf.graph(), fx.endpoints, *c.routing,
-                            *c.pattern, scan_config, load);
-      scan_net.run_phases();
-
-      EXPECT_EQ(heap_net.accepted_load(), scan_net.accepted_load()) << load;
-      EXPECT_EQ(heap_net.avg_latency(), scan_net.avg_latency()) << load;
-      EXPECT_EQ(heap_net.p99_latency(), scan_net.p99_latency()) << load;
-      EXPECT_EQ(heap_net.delivered_packets(), scan_net.delivered_packets());
-      EXPECT_EQ(heap_net.measured_hops(), scan_net.measured_hops());
-      EXPECT_EQ(heap_net.peak_vc_packets(), scan_net.peak_vc_packets());
-      EXPECT_EQ(heap_net.converged(), scan_net.converged());
-    }
+    expect_reset_matches_fresh(fx, min_routing, fx.pattern, config,
+                               {0.4, 0.4, 0.2});
   }
 }
 

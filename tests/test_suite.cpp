@@ -555,6 +555,35 @@ TEST(SuiteRunner, SkipsDisconnectedDamage) {
   EXPECT_EQ(skipped.records()[0].points[0].cycles, 0);
 }
 
+TEST(SuiteRunner, EveryRoutingRunsAroundAKilledRouter) {
+  // A static router kill leaves the router in the graph with no links.
+  // Valiant-style detours must never pick it as their intermediate: no
+  // minimal path leads there.
+  const char* doc = R"({
+    "schema": "polarfly-suite/1",
+    "scenarios": [
+      {"topology": "pf:q=7,p=4",
+       "routing": ["MIN", "VAL", "CVAL", "UGAL", "UGALPF"],
+       "loads": [0.3],
+       "config": {"warmup": 100, "measure": 200, "drain": 600},
+       "failures": [{"routers": [3]}]}
+    ]
+  })";
+  exp::ResultLog log;
+  exp::SuiteRunner runner;
+  std::size_t skipped = 1;
+  ASSERT_NO_THROW(skipped = runner.run(exp::parse_suite(doc), log));
+  EXPECT_EQ(skipped, 0u);
+  ASSERT_EQ(log.records().size(), 5u);
+  for (const exp::RunRecord& record : log.records()) {
+    EXPECT_TRUE(record.status.empty()) << record.routing << ": "
+                                       << record.status;
+    ASSERT_EQ(record.points.size(), 1u);
+    EXPECT_GT(record.points[0].accepted, 0.0) << record.routing;
+    EXPECT_GT(record.points[0].mean_hops, 0.0) << record.routing;
+  }
+}
+
 TEST(SuiteRunner, ParallelSchedulerIsBitIdenticalToSerial) {
   // The case scheduler's core guarantee: however cases are sliced into
   // units and interleaved on the pool, the ResultLog is bit-identical to
