@@ -1,90 +1,26 @@
-// Thin shims for the bench binaries over the src/exp experiment engine:
-// the NetSetup bundle, topology factories and routing/pattern factories
-// live in exp/scenario.{hpp,cpp}; this header only keeps the bench-local
-// conveniences — the reduced/full scale switch, the shared SimConfig of
-// the Tab. V runs, sweep printing, and --json handling.
+// Bench-local conveniences for the analytic figure/table benches: the
+// reduced/full scale switch and the Tab. V configuration set. The
+// sweep-driven figures and ablations are entries of
+// suites/paper_figs.json, run with `pf_sim suite`.
 //
 // Set PF_BENCH_FULL=1 to run the paper-scale configurations.
 #pragma once
 
-#include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
-#include "exp/engine.hpp"
-#include "exp/results.hpp"
 #include "exp/scenario.hpp"
-#include "sim/harness.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
 
 namespace pf::bench {
-
-// Scenario-layer shims (bench::X spelled like before the exp/ move).
-using exp::NetSetup;
-using exp::make_dragonfly_setup;
-using exp::make_fattree_setup;
-using exp::make_graph_setup;
-using exp::make_jellyfish_setup;
-using exp::make_pattern;
-using exp::make_polarfly_setup;
-using exp::make_routing;
-using exp::make_slimfly_setup;
 
 inline bool full_scale() {
   const char* env = std::getenv("PF_BENCH_FULL");
   return env != nullptr && env[0] == '1';
 }
 
-/// Simulation setup shared by figure benches. The simulator compensates
-/// for its single-stage allocator with extra sub-VCs (see network.hpp);
-/// vcs=16 brings uniform saturation in line with the paper's BookSim runs.
-inline sim::SimConfig bench_sim_config() {
-  sim::SimConfig config;
-  config.vcs = 16;
-  config.buf_per_port = 256;
-  if (full_scale()) {
-    config.warmup_cycles = 8000;
-    config.measure_cycles = 8000;
-    config.drain_cycles = 16000;
-  } else {
-    config.warmup_cycles = 3000;
-    config.measure_cycles = 4000;
-    config.drain_cycles = 8000;
-  }
-  config.seed = 0xbe5c0ULL;
-  return config;
-}
-
 /// The Tab. V configuration set (or its reduced-scale twin).
-inline std::vector<NetSetup> make_table5_setups() {
+inline std::vector<exp::NetSetup> make_table5_setups() {
   return exp::make_table5_setups(full_scale());
 }
-
-/// `config` as a polarfly-suite/1 "config" object — the one serializer
-/// the suite-driven benches share, so a new SimConfig field only needs
-/// adding here (every field the suite schema knows is emitted).
-inline std::string suite_config_json(const sim::SimConfig& config) {
-  return "{\"packet_size\": " + std::to_string(config.packet_size) +
-         ", \"vcs\": " + std::to_string(config.vcs) +
-         ", \"buf_per_port\": " + std::to_string(config.buf_per_port) +
-         ", \"warmup\": " + std::to_string(config.warmup_cycles) +
-         ", \"measure\": " + std::to_string(config.measure_cycles) +
-         ", \"drain\": " + std::to_string(config.drain_cycles) +
-         ", \"seed\": " + std::to_string(config.seed) +
-         ", \"engine\": \"" + sim::engine_name(config.engine) + "\"}";
-}
-
-/// Prints one engine RunRecord as a table section (columns + saturation
-/// footer).
-using exp::print_run;
-
-inline std::vector<double> default_loads() {
-  return sim::load_steps(0.1, 1.0, full_scale() ? 10 : 8);
-}
-
-/// Shared tail of every bench main() — see exp::finish.
-using exp::finish;
 
 }  // namespace pf::bench

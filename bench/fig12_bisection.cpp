@@ -12,6 +12,7 @@
 #include "topo/hyperx.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/slimfly.hpp"
+#include "util/table.hpp"
 
 namespace {
 

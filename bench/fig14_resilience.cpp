@@ -11,6 +11,7 @@
 #include "common.hpp"
 #include "graph/algos.hpp"
 #include "util/parallel.hpp"
+#include "util/table.hpp"
 
 namespace {
 

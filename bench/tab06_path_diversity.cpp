@@ -3,15 +3,14 @@
 // measured raw simple-path count and the count avoiding the minimal-path
 // intermediate x (see EXPERIMENTS.md for the convention differences).
 #include <cstdio>
-#include <cstdlib>
 
+#include "common.hpp"
 #include "core/analysis.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace pf;
-  const bool full = std::getenv("PF_BENCH_FULL") != nullptr &&
-                    std::getenv("PF_BENCH_FULL")[0] == '1';
+  const bool full = bench::full_scale();
   const std::uint32_t q = full ? 31 : 13;
   const core::PolarFly pf(q);
   const auto rows = core::path_diversity_census(pf, full ? 4 : 8, 20260611);

@@ -1,8 +1,7 @@
 // The scenario layer of the experiment engine: every evaluation in the
 // paper is a {topology, routing, traffic} triple swept over offered load.
-// This header owns the pieces that used to live inline in
-// bench/common.hpp — the NetSetup bundle, the make_*_setup topology
-// factories, and the string-keyed routing / traffic factories — plus a
+// This header owns the NetSetup bundle, the make_*_setup topology
+// factories, and the string-keyed routing / traffic factories, plus a
 // ScenarioRegistry that caches topologies (and their DistanceOracles, the
 // expensive part) by spec string so every sweep point and every routing
 // over the same topology shares one oracle, and compiled workloads so

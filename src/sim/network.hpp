@@ -1,7 +1,8 @@
 // The cycle-level network simulator: input-queued virtual-channel
 // routers in virtual cut-through mode with credit-based backpressure and
 // a single-stage rotating-priority allocator (the extra sub-VCs of the
-// bench configs compensate for the single stage; see bench/common.hpp).
+// vcs=16 default in suites/paper_figs.json compensate for the single
+// stage).
 //
 // Model per cycle:
 //   - each endpoint Bernoulli-generates packets at the offered load and

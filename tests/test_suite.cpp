@@ -4,7 +4,9 @@
 // malformed-input behavior of util::json_parse.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -218,13 +220,51 @@ TEST(SuiteParse, CommittedPaperSuiteResolvesEverywhere) {
   const exp::Suite suite =
       exp::load_suite(std::string(PF_SUITE_DIR) + "/paper_figs.json");
   EXPECT_EQ(suite.name, "paper_figs");
-  EXPECT_GE(suite.cases.size(), 80u);
+  // It is also the only definition of the Figs. 8-11 sweeps and the
+  // traffic ablations, so the matrix is pinned case for case: a dropped
+  // axis value or a widened cross product fails here.
+  EXPECT_EQ(suite.cases.size(), 86u);
+  // Cases per experiment, keyed by entry-name prefix (case names are the
+  // entry name plus a bracketed suffix for the axes that vary).
+  const std::map<std::string, std::size_t> expected = {
+      {"fig08", 27},
+      {"fig09", 6},
+      {"fig10", 8},
+      {"fig11-", 9},
+      {"ablation-classic", 4},
+      {"ablation-ugal-thr-", 12},
+      {"ablation-vcs", 8},
+      {"ablation-failed-links", 10},
+      {"ablation-polarity-quotient", 2}};
+  std::map<std::string, std::size_t> counted;
+  std::size_t damaged = 0;
   auto& registry = exp::ScenarioRegistry::shared();
   for (const auto& cs : suite.cases) {
     ASSERT_FALSE(cs.loads.empty() && !cs.saturation) << cs.spec.name;
     const exp::Scenario scenario = registry.make(cs.spec);
     EXPECT_TRUE(exp::serves_all_terminals(*scenario.setup)) << cs.spec.name;
+
+    std::string experiment;
+    for (const auto& entry : expected) {
+      if (cs.spec.name.rfind(entry.first, 0) == 0) experiment = entry.first;
+    }
+    EXPECT_FALSE(experiment.empty()) << "unexpected case " << cs.spec.name;
+    ++counted[experiment];
+
+    // The link-failure ablation kills the sets of seed 0xdead11 + pct,
+    // the same construction FailureSpecReproducesHandRolledDamage checks.
+    if (experiment == "ablation-failed-links" && !cs.spec.failure.empty()) {
+      ++damaged;
+      const long pct = std::lround(cs.spec.failure.link_rate * 100.0);
+      EXPECT_TRUE(pct == 5 || pct == 10 || pct == 20 || pct == 30)
+          << cs.spec.name;
+      EXPECT_EQ(cs.spec.failure.seed,
+                0xdead11ULL + static_cast<std::uint64_t>(pct))
+          << cs.spec.name;
+    }
   }
+  EXPECT_EQ(counted, expected);
+  EXPECT_EQ(damaged, 8u);
 }
 
 TEST(SuiteParse, CommittedFullScaleSuiteResolvesEverywhere) {
@@ -450,7 +490,8 @@ TEST(SuiteRunner, MatchesDirectEngineOnSmokeSuite) {
 }
 
 TEST(SuiteRunner, FailureSpecReproducesHandRolledDamage) {
-  // The pre-refactor ablation_failed_links construction, by hand ...
+  // The damage the ablation-failed-links entry of suites/paper_figs.json
+  // declares (link_rate pct/100, seed 0xdead11 + pct), built by hand ...
   const std::uint32_t q = 7;
   const int p = 4;
   const int pct = 10;
