@@ -40,6 +40,9 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
       workload_mode_(workload != nullptr),
       endpoints_(endpoints),
       rng_(config.seed ^ 0x9e3779b97f4a7c15ULL) {
+  // The packet pool sets the peak RSS of saturated sweeps (bench/e2e's
+  // q13_sweep): every byte added here is paid by every pooled packet.
+  static_assert(sizeof(Packet) <= 152, "Network::Packet grew past 152 B");
   const int n = g.num_vertices();
   if (static_cast<int>(endpoints_.size()) != n) {
     throw std::invalid_argument("endpoints size != num_vertices");
@@ -134,9 +137,7 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
   waiting_for_output_.assign(num_channels, 0);
   const std::size_t num_rings =
       num_channels * static_cast<std::size_t>(vcs_used_);
-  ring_slots_.assign(num_rings * static_cast<std::size_t>(vc_cap_packets_),
-                     -1);
-  ring_head_.assign(num_rings, 0);
+  ring_ends_.assign(num_rings, RingEnds{-1, -1});
   ring_size_.assign(num_rings, 0);
   vc_nonempty_.assign(num_channels, 0);
   link_busy_until_.assign(num_channels, 0);
@@ -266,10 +267,10 @@ void Network::reset_arrays() {
   // O(touched): only channels that ever buffered/reserved a packet and
   // routers that ever had backlog since the previous reset are cleared.
   //
-  // ring_head_ is deliberately NOT reset: a VC ring's head
-  // offset is unobservable — pushes land at (head + size) % cap and pops
-  // read from head, so FIFO contents and order are identical for any
-  // head. Only ring_size_ carries simulation state.
+  // ring_ends_ is deliberately NOT reset: a VC queue's front and back
+  // are only read while its ring_size_ is nonzero, and the push into an
+  // empty queue overwrites both. Only ring_size_ carries simulation
+  // state.
   //
   // After a run that drained every packet (free list back to full) with
   // no runtime fault timeline, the per-channel counters are already back
@@ -450,8 +451,8 @@ void Network::process_due_terminal(int t) {
   Packet& packet = packets_[static_cast<std::size_t>(id)];
   packet.src_router = terminals_[ti];
   packet.dst_terminal = pattern_.destination(t, rng);
-  packet.subvc =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(subvcs_)));
+  packet.subvc = static_cast<std::int16_t>(
+      rng.below(static_cast<std::uint64_t>(subvcs_)));
   packet.birth = cycle_;
   packet.ready = std::max(cycle_, terminal_inject_free_[ti]);
   terminal_inject_free_[ti] = packet.ready + config_.packet_size;
@@ -583,11 +584,11 @@ void Network::flush_dead_channel(int channel) {
   for (int vc = 0; vc < vcs_used_; ++vc) {
     const std::size_t ring = ring_of(channel, vc);
     const int size = ring_size_[ring];
+    int next = ring_ends_[ring].front;
     for (int k = 0; k < size; ++k) {
-      const int packet_id = ring_slots_
-          [ring * static_cast<std::size_t>(vc_cap_packets_) +
-           static_cast<std::size_t>((ring_head_[ring] + k) %
-                                    vc_cap_packets_)];
+      // Read the link before the packet is requeued or released.
+      const int packet_id = next;
+      next = packets_[static_cast<std::size_t>(packet_id)].next;
       if (telemetry_) telemetry_->on_class_dequeue(vc / subvcs_);
       if (config_.faults.policy == FaultPolicy::Reinject) {
         requeue_at_source(packet_id);
@@ -604,7 +605,6 @@ void Network::flush_dead_channel(int channel) {
       ++flushed;
     }
     ring_size_[ring] = 0;
-    ring_head_[ring] = 0;
   }
   vc_nonempty_[c] = 0;
   channel_occupancy_[c] = 0;
@@ -840,9 +840,14 @@ bool Network::try_dispatch(int packet_id, int at_router) {
   }
   ++packet.hop;
   mark_channel(out);
-  ring_slots_[ring * static_cast<std::size_t>(vc_cap_packets_) +
-              static_cast<std::size_t>((ring_head_[ring] + size) %
-                                       vc_cap_packets_)] = packet_id;
+  RingEnds& ends = ring_ends_[ring];
+  if (size == 0) {
+    ends.front = packet_id;
+  } else {
+    packets_[static_cast<std::size_t>(ends.back)].next = packet_id;
+  }
+  ends.back = packet_id;
+  packet.next = -1;
   ring_size_[ring] = static_cast<std::uint16_t>(size + 1);
   if (size + 1 > peak_vc_packets_) peak_vc_packets_ = size + 1;
   vc_nonempty_[out] |= 1ULL << vc;
@@ -887,12 +892,11 @@ void Network::drain_channel(int v, int c) {
     const int vc = 63 - __builtin_clzll(mask);
     mask &= ~(1ULL << vc);
     const std::size_t ring = ring_of(c, vc);
-    const int packet_id =
-        ring_slots_[ring * static_cast<std::size_t>(vc_cap_packets_) +
-                    ring_head_[ring]];
+    const int packet_id = ring_ends_[ring].front;
+    // A forward rewrites the packet's link: read it first.
+    const int next = packets_[static_cast<std::size_t>(packet_id)].next;
     if (try_dispatch(packet_id, v)) {
-      ring_head_[ring] = static_cast<std::uint16_t>(
-          (ring_head_[ring] + 1) % vc_cap_packets_);
+      ring_ends_[ring].front = next;
       const std::uint16_t remaining = --ring_size_[ring];
       if (remaining == 0) {
         vc_nonempty_[static_cast<std::size_t>(c)] &= ~(1ULL << vc);
@@ -1320,8 +1324,8 @@ void Network::wl_process_due(int t) {
   packet.dst_terminal = msg.dst;
   packet.src_terminal = t;
   packet.wl_phase = phase;
-  packet.subvc =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(subvcs_)));
+  packet.subvc = static_cast<std::int16_t>(
+      rng.below(static_cast<std::uint64_t>(subvcs_)));
   packet.birth = cycle_;
   packet.ready = std::max(cycle_, terminal_inject_free_[ti]);
   terminal_inject_free_[ti] = packet.ready + config_.packet_size;

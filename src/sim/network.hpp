@@ -17,13 +17,17 @@
 //
 // Latency = birth (generation) to tail ejection, in cycles.
 //
-// Hot-loop layout: VC buffers are flat ring buffers (channel-major), a
-// per-router backlog counter skips idle routers entirely, and each packet
-// caches its current output channel id, so a blocked head costs a few
-// loads instead of a binary search per cycle. `reset()` rewinds a network
-// to its just-constructed state so sweeps reuse one instance instead of
-// rebuilding the channel indexing per point; identical seeds produce
-// bit-identical statistics either way.
+// Hot-loop layout: each VC buffer is a FIFO threaded through the packet
+// pool. A ring (channel-major, then VC) holds only its front and back
+// packet ids and a size; each packet holds the id of the one behind it.
+// A head check therefore loads the ring's front and then the packet,
+// with no slot array in between, and ring memory does not grow with
+// the buffer depth. A per-router backlog counter skips idle routers
+// entirely, and each packet caches its current output channel id, so a
+// blocked head costs a few loads instead of a binary search per cycle.
+// `reset()` rewinds a network to its just-constructed state so sweeps
+// reuse one instance instead of rebuilding the channel indexing per
+// point; identical seeds produce bit-identical statistics either way.
 //
 // Injection is event-driven: each terminal owns its RNG stream and a
 // next-injection time sampled in closed form from the geometric
@@ -288,11 +292,12 @@ class Network {
  private:
   struct Packet {
     Route route;            ///< empty until first allocation (lazy routing)
-    int hop = 0;            ///< index into route of the current router
+    std::int16_t hop = 0;   ///< index into route (< Route::kMaxLen)
+    std::int16_t subvc = 0; ///< sub-VC within a hop class (< 64)
     int src_router = 0;
     int dst_terminal = 0;
-    int subvc = 0;
     std::int32_t out_channel = -1;  ///< cached id of the next link
+    std::int32_t next = -1;  ///< id of the packet behind it in its VC queue
     std::int64_t birth = 0;
     std::int64_t ready = 0;  ///< head-arrival time at the current router
     bool measured = false;
@@ -303,7 +308,7 @@ class Network {
 
   int channel_id(int u, int v) const;
   int vc_for(const Packet& packet) const {
-    const int hop_class = std::min(packet.hop, classes_ - 1);
+    const int hop_class = std::min<int>(packet.hop, classes_ - 1);
     return hop_class * subvcs_ + packet.subvc;
   }
   /// Flat index of one VC ring: channel-major, then VC.
@@ -537,10 +542,14 @@ class Network {
   /// their first hop (the source-side output queue).
   std::vector<int> waiting_for_output_;
 
-  // Flat VC rings: ring r (see ring_of) owns slots
-  // [r * vc_cap_packets_, (r + 1) * vc_cap_packets_) of ring_slots_.
-  std::vector<std::int32_t> ring_slots_;      ///< packet ids
-  std::vector<std::uint16_t> ring_head_;      ///< per ring
+  // VC queues: ring r (see ring_of) is a FIFO threaded through the
+  // packet pool, front to back along Packet::next. Its ends are valid
+  // only while ring_size_[r] > 0.
+  struct RingEnds {
+    std::int32_t front;
+    std::int32_t back;
+  };
+  std::vector<RingEnds> ring_ends_;           ///< per ring
   std::vector<std::uint16_t> ring_size_;      ///< per ring
   std::vector<std::uint64_t> vc_nonempty_;    ///< per channel: VC bitmask
   std::vector<std::int64_t> link_busy_until_; ///< per channel serialization

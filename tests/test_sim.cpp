@@ -767,6 +767,109 @@ TEST(EventEngine, MatchesCycleCoreOnWorkloads) {
   }
 }
 
+/// FNV-1a of a finished run's order-sensitive outputs: every measured
+/// latency in delivery order, then the delivered count, the peak VC
+/// depth and the final cycle.
+std::uint64_t run_hash(const sim::Network& net) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::int64_t latency : net.measured_latencies()) {
+    fnv1a(h, static_cast<std::uint64_t>(latency));
+  }
+  fnv1a(h, static_cast<std::uint64_t>(net.delivered_packets()));
+  fnv1a(h, static_cast<std::uint64_t>(net.peak_vc_packets()));
+  fnv1a(h, static_cast<std::uint64_t>(net.current_cycle()));
+  return h;
+}
+
+TEST(Simulator, VcQueueOrderIsPinned) {
+  // Pins the FIFO order of the VC queues: any change to which packet a
+  // queue hands out next shifts the delivery order, hence the latency
+  // sequence hashed here. UGAL-PF on PF q=7 (3 hop classes x 5 sub-VCs)
+  // at VC depths of 1, 4 and 68 packets (64, 256 and 4096 flits per
+  // port; a random permutation at load 1.0 fills the deep queues), a
+  // flap under each fault policy (the dead-channel flush walks whole
+  // queues), and a reset() reuse leg. Both engines must reproduce every
+  // pin, recorded on the flat ring buffers the queues replaced.
+  const core::PolarFly pf7(7);
+  const sim::DistanceOracle oracle(pf7.graph());
+  const auto endpoints = sim::uniform_endpoints(pf7.num_vertices(), 4);
+  const auto terminals = sim::terminal_routers(endpoints);
+  const sim::UniformTraffic uniform(terminals);
+  const auto randperm = sim::PermutationTraffic::random(terminals, 0xfeedULL);
+  const sim::UgalRouting ugal_pf(pf7.graph(), oracle, true);
+
+  sim::SimConfig base;
+  base.warmup_cycles = 200;
+  base.measure_cycles = 400;
+  base.drain_cycles = 2000;
+  sim::FaultTimeline flap;  // four links down at cycle 300, up at 700
+  for (const auto kind :
+       {sim::FaultEvent::Kind::LinkDown, sim::FaultEvent::Kind::LinkUp}) {
+    for (const int u : {0, 3, 11, 20}) {
+      flap.events.push_back(
+          {kind, kind == sim::FaultEvent::Kind::LinkDown ? 300 : 700, u,
+           pf7.graph().neighbors(u)[1]});
+    }
+  }
+  struct Leg {
+    const char* name;
+    int buf_per_port;
+    double load;
+    const sim::TrafficPattern* pattern;
+    bool faults;
+    sim::FaultPolicy policy;
+    std::uint64_t pin;
+  };
+  const Leg legs[] = {
+      {"depth1", 64, 0.9, &uniform, false, sim::FaultPolicy::Drop,
+       0x6409aaffa0d4ee26ULL},
+      {"depth4", 256, 0.9, &uniform, false, sim::FaultPolicy::Drop,
+       0x4882bdfbcf50a589ULL},
+      {"depth68", 4096, 1.0, &randperm, false, sim::FaultPolicy::Drop,
+       0xc36d41ed60a041b5ULL},
+      {"flap-drop", 256, 0.9, &uniform, true, sim::FaultPolicy::Drop,
+       0xfe1af340b94f40b4ULL},
+      {"flap-reinject", 256, 0.9, &uniform, true, sim::FaultPolicy::Reinject,
+       0x2ecb84ac48f105fULL},
+  };
+  // The depth68 network, reset to load 0.6 and run again.
+  const std::uint64_t reset_pin = 0x8bda659de294dc5fULL;
+  for (const sim::SimEngine engine :
+       {sim::SimEngine::Event, sim::SimEngine::Cycle}) {
+    for (const Leg& leg : legs) {
+      sim::SimConfig config = base;
+      config.engine = engine;
+      config.buf_per_port = leg.buf_per_port;
+      if (leg.faults) {
+        config.faults = flap;
+        config.faults.policy = leg.policy;
+      }
+      sim::Network net(pf7.graph(), endpoints, ugal_pf, *leg.pattern, config,
+                       leg.load);
+      net.run_phases();
+      const std::uint64_t h = run_hash(net);
+      EXPECT_EQ(h, leg.pin) << leg.name << " engine "
+                            << static_cast<int>(engine) << " 0x" << std::hex
+                            << h;
+      if (leg.faults) {
+        // The flush must actually have found queued packets.
+        EXPECT_GT(net.degradation().dropped + net.degradation().reinjected,
+                  0)
+            << leg.name;
+      }
+      if (leg.buf_per_port == 4096) {
+        EXPECT_GT(net.peak_vc_packets(), 64);
+        net.reset(0.6);
+        net.run_phases();
+        const std::uint64_t hr = run_hash(net);
+        EXPECT_EQ(hr, reset_pin) << "reset engine "
+                                 << static_cast<int>(engine) << " 0x"
+                                 << std::hex << hr;
+      }
+    }
+  }
+}
+
 TEST(Simulator, RejectsInvalidConfigurationsAtConstruction) {
   PfFixture fx;
   // Route bound: Valiant on a 13-ary 2-torus detours up to 2 * 12 = 24
