@@ -76,10 +76,10 @@ void usage_suite(std::FILE* f) {
       "  --telemetry      force-enable congestion/latency telemetry on\n"
       "                   every case (suites can also set it per case via\n"
       "                   config.telemetry)\n"
-      "  --engine E       force the simulator core (event|cycle) on every\n"
-      "                   case, overriding config.engine — the two cores\n"
+      "  --engine E       force the router visit policy (event|cycle) on\n"
+      "                   every case, overriding config.engine — the two\n"
       "                   are bit-identical (the CI equivalence gate runs\n"
-      "                   a suite under both and diffs at rtol 0)\n",
+      "                   suites under both and diffs at rtol 0)\n",
       f);
 }
 
@@ -156,9 +156,10 @@ int usage() {
       "  --buf N          flit buffer per port (default 256)\n"
       "  --warmup/--measure/--drain C   phase lengths in cycles\n"
       "  --seed S         simulation seed (default 42)\n"
-      "  --engine E       simulator core: event (default; skips idle\n"
-      "                   cycles wholesale) or cycle (reference core) —\n"
-      "                   bit-identical statistics either way\n"
+      "  --engine E       router visit policy: event (default; skips idle\n"
+      "                   cycles wholesale) or cycle (reference: every\n"
+      "                   backlogged router, every cycle) — bit-identical\n"
+      "                   statistics either way\n"
       "  --ugal-threshold X  UGAL adaptivity gate (default: kind's paper\n"
       "                   value — UGAL 0, UGALPF 2/3)\n"
       "  --json PATH      write the run as a polarfly-run/1 JSON record\n"
@@ -301,7 +302,7 @@ int run_suite(const util::CliArgs& args) {
     }
   }
   // --engine overrides config.engine on every case; results must be
-  // identical either way, so this only selects the executing core.
+  // identical either way, so this only selects the visit policy.
   if (args.has("engine")) {
     sim::SimEngine engine = sim::SimEngine::Event;
     if (!sim::parse_engine(args.str("engine"), engine)) {

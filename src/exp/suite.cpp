@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -21,6 +22,8 @@ namespace {
 using util::JsonValue;
 
 constexpr const char* kSuiteSchema = "polarfly-suite/1";
+constexpr int kIntMin = std::numeric_limits<int>::min();
+constexpr int kIntMax = std::numeric_limits<int>::max();
 
 [[noreturn]] void bad(const std::string& context, const std::string& what) {
   throw std::invalid_argument("suite " + context + ": " + what);
@@ -84,12 +87,13 @@ FailureSpec parse_failure(const JsonValue& value, const std::string& context) {
           bad(context + ".links", "each link must be a [u, v] pair");
         }
         spec.links.emplace_back(
-            static_cast<std::int32_t>(link.items()[0].as_int()),
-            static_cast<std::int32_t>(link.items()[1].as_int()));
+            link.items()[0].as_int_in(context + ".links", 0, kIntMax),
+            link.items()[1].as_int_in(context + ".links", 0, kIntMax));
       }
     } else if (key == "routers") {
       for (const auto& router : v.items()) {
-        spec.routers.push_back(static_cast<int>(router.as_int()));
+        spec.routers.push_back(
+            router.as_int_in(context + ".routers", 0, kIntMax));
       }
     } else {
       bad(context, "unknown failure key '" + key + "'");
@@ -114,13 +118,13 @@ FailureSchedule::Event parse_schedule_event(const JsonValue& value,
       if (!v.is_array() || v.size() != 2) {
         bad(context + "." + key, "expected a [u, v] pair");
       }
-      event.link = {static_cast<std::int32_t>(v.items()[0].as_int()),
-                    static_cast<std::int32_t>(v.items()[1].as_int())};
+      event.link = {v.items()[0].as_int_in(context + "." + key, 0, kIntMax),
+                    v.items()[1].as_int_in(context + "." + key, 0, kIntMax)};
     } else if (key == "router_down") {
       if (has_action) bad(context, "event has more than one action");
       has_action = true;
       event.kind = key;
-      event.router = static_cast<int>(v.as_int());
+      event.router = v.as_int_in(context + "." + key, 0, kIntMax);
     } else {
       bad(context, "unknown event key '" + key +
                        "' (at / link_down / link_up / router_down)");
@@ -137,13 +141,14 @@ FailureSchedule::Flap parse_schedule_flap(const JsonValue& value,
   if (!value.is_object()) bad(context, "expected a flap object");
   FailureSchedule::Flap flap;
   for (const auto& [key, v] : value.members()) {
+    const std::string path = context + "." + key;
     if (key == "rate") flap.rate = v.as_double();
-    else if (key == "count") flap.count = static_cast<int>(v.as_int());
+    else if (key == "count") flap.count = v.as_int_in(path, 0, kIntMax);
     else if (key == "seed") flap.seed = v.as_uint();
     else if (key == "down_at") flap.down_at = v.as_int();
     else if (key == "up_after") flap.up_after = v.as_int();
     else if (key == "period") flap.period = v.as_int();
-    else if (key == "repeats") flap.repeats = static_cast<int>(v.as_int());
+    else if (key == "repeats") flap.repeats = v.as_int_in(path, 0, kIntMax);
     else bad(context, "unknown flap key '" + key + "'");
   }
   return flap;
@@ -197,8 +202,8 @@ std::vector<double> parse_loads(const JsonValue& value,
         bad(context, "unknown loads key '" + key + "' (lo/hi/count)");
       }
     }
-    const int count = static_cast<int>(value.at("count").as_int());
-    if (count < 1) bad(context + ".count", "must be >= 1");
+    const int count =
+        value.at("count").as_int_in(context + ".count", 1, kIntMax);
     return sim::load_steps(value.at("lo").as_double(),
                            value.at("hi").as_double(), count);
   }
@@ -211,12 +216,14 @@ std::vector<double> parse_loads(const JsonValue& value,
 void parse_telemetry(const JsonValue& value, const std::string& context,
                      sim::SimConfig& config) {
   if (!value.is_object()) bad(context, "expected a telemetry object");
-  config.telemetry.enabled = true;
+  auto& telemetry = config.telemetry;
+  telemetry.enabled = true;
   for (const auto& [key, v] : value.members()) {
-    if (key == "enabled") config.telemetry.enabled = v.as_bool();
-    else if (key == "window") config.telemetry.window_cycles = static_cast<int>(v.as_int());
-    else if (key == "max_windows") config.telemetry.max_windows = static_cast<int>(v.as_int());
-    else if (key == "top_links") config.telemetry.top_links = static_cast<int>(v.as_int());
+    const std::string path = context + "." + key;
+    if (key == "enabled") telemetry.enabled = v.as_bool();
+    else if (key == "window") telemetry.window_cycles = v.as_int_in(path, 1, kIntMax);
+    else if (key == "max_windows") telemetry.max_windows = v.as_int_in(path, 1, kIntMax);
+    else if (key == "top_links") telemetry.top_links = v.as_int_in(path, 0, kIntMax);
     else bad(context, "unknown telemetry key '" + key + "'");
   }
 }
@@ -225,13 +232,14 @@ void parse_config(const JsonValue& value, const std::string& context,
                   sim::SimConfig& config) {
   if (!value.is_object()) bad(context, "expected a config object");
   for (const auto& [key, v] : value.members()) {
-    if (key == "packet_size") config.packet_size = static_cast<int>(v.as_int());
-    else if (key == "vcs") config.vcs = static_cast<int>(v.as_int());
-    else if (key == "buf_per_port") config.buf_per_port = static_cast<int>(v.as_int());
-    else if (key == "warmup") config.warmup_cycles = static_cast<int>(v.as_int());
-    else if (key == "measure") config.measure_cycles = static_cast<int>(v.as_int());
-    else if (key == "drain") config.drain_cycles = static_cast<int>(v.as_int());
-    else if (key == "stall") config.stall_cycles = static_cast<int>(v.as_int());
+    const std::string path = context + "." + key;
+    if (key == "packet_size") config.packet_size = v.as_int_in(path, 1, kIntMax);
+    else if (key == "vcs") config.vcs = v.as_int_in(path, 1, kIntMax);
+    else if (key == "buf_per_port") config.buf_per_port = v.as_int_in(path, 1, kIntMax);
+    else if (key == "warmup") config.warmup_cycles = v.as_int_in(path, 0, kIntMax);
+    else if (key == "measure") config.measure_cycles = v.as_int_in(path, 0, kIntMax);
+    else if (key == "drain") config.drain_cycles = v.as_int_in(path, 0, kIntMax);
+    else if (key == "stall") config.stall_cycles = v.as_int_in(path, kIntMin, kIntMax);
     else if (key == "seed") config.seed = v.as_uint();
     else if (key == "engine") {
       if (!sim::parse_engine(v.as_string(), config.engine)) {
@@ -317,7 +325,7 @@ void apply_entry_key(const std::string& key, const JsonValue& value,
           if (skey == "lo") state.sat_lo = sval.as_double();
           else if (skey == "hi") state.sat_hi = sval.as_double();
           else if (skey == "tol") state.sat_tol = sval.as_double();
-          else if (skey == "iters") state.sat_iters = static_cast<int>(sval.as_int());
+          else if (skey == "iters") state.sat_iters = sval.as_int_in(ctx + ".iters", 1, kIntMax);
           else bad(ctx, "unknown saturation key '" + skey + "'");
         }
       } else {

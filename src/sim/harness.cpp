@@ -4,7 +4,6 @@
 
 #include "sim/routing.hpp"
 #include "sim/telemetry.hpp"
-#include "util/parallel.hpp"
 
 namespace pf::sim {
 
@@ -25,33 +24,6 @@ SimStats simulate(const graph::Graph& g, const std::vector<int>& endpoints,
   stats.converged = net.converged();
   stats.delivered_packets = net.delivered_packets();
   return stats;
-}
-
-double SweepResult::saturation() const {
-  double best = 0.0;
-  for (const auto& point : points) {
-    best = std::max(best, point.accepted);
-  }
-  return best;
-}
-
-SweepResult sweep_loads(const graph::Graph& g,
-                        const std::vector<int>& endpoints,
-                        const RoutingAlgorithm& routing,
-                        const TrafficPattern& pattern,
-                        const SimConfig& config,
-                        const std::vector<double>& loads,
-                        const std::string& label) {
-  SweepResult sweep;
-  sweep.label = label;
-  sweep.points.resize(loads.size());
-  util::parallel_for(0, loads.size(), [&](std::size_t i) {
-    const SimStats stats =
-        simulate(g, endpoints, routing, pattern, config, loads[i]);
-    sweep.points[i] = {stats.offered, stats.accepted_load, stats.avg_latency,
-                       stats.p99_latency, stats.converged};
-  });
-  return sweep;
 }
 
 std::vector<double> load_steps(double lo, double hi, int count) {

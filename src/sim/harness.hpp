@@ -1,9 +1,8 @@
 // The measurement harness: one simulation point (warmup / measure /
-// drain) and the latency-vs-load sweep used by every figure bench, with
-// the sweep points run in parallel on the shared thread pool.
+// drain) on a freshly built Network, and evenly spaced load grids. Load
+// sweeps live in exp::run_sweep (src/exp/engine.hpp).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -28,31 +27,6 @@ SimStats simulate(const graph::Graph& g, const std::vector<int>& endpoints,
                   const RoutingAlgorithm& routing,
                   const TrafficPattern& pattern, const SimConfig& config,
                   double load);
-
-struct SweepPoint {
-  double offered = 0.0;
-  double accepted = 0.0;
-  double avg_latency = 0.0;
-  double p99_latency = 0.0;
-  bool converged = false;
-};
-
-struct SweepResult {
-  std::string label;
-  std::vector<SweepPoint> points;
-
-  /// Saturation throughput: the largest accepted load over the sweep
-  /// (accepted plateaus once offered load passes saturation).
-  double saturation() const;
-};
-
-SweepResult sweep_loads(const graph::Graph& g,
-                        const std::vector<int>& endpoints,
-                        const RoutingAlgorithm& routing,
-                        const TrafficPattern& pattern,
-                        const SimConfig& config,
-                        const std::vector<double>& loads,
-                        const std::string& label);
 
 /// `count` evenly spaced loads from lo to hi inclusive.
 std::vector<double> load_steps(double lo, double hi, int count);

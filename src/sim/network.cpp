@@ -105,34 +105,31 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
       static_cast<std::size_t>(channel_offset_[static_cast<std::size_t>(n)]);
   channel_target_.reserve(num_channels);
   channel_source_.reserve(num_channels);
-  channel_in_bit_.reserve(num_channels);
+  channel_in_index_.reserve(num_channels);
   in_channels_.assign(static_cast<std::size_t>(n), {});
   for (int v = 0; v < n; ++v) {
     for (const std::int32_t u : g.neighbors(v)) {
       auto& in = in_channels_[static_cast<std::size_t>(u)];
+      channel_in_index_.push_back(static_cast<std::int32_t>(in.size()));
       in.push_back(static_cast<int>(channel_target_.size()));
       channel_target_.push_back(u);
       channel_source_.push_back(v);
-      channel_in_bit_.push_back(static_cast<std::uint8_t>(
-          std::min<std::size_t>(in.size() - 1, 255)));
     }
   }
-  // Event-core eligibility: the agenda keeps one in-channel bit per
-  // router, so it needs every in-degree <= 64. Denser routers fall back
-  // to the cycle core, which computes identical statistics.
+  // The agenda: every router's in-channel mask spans the same number of
+  // words, enough for the largest in-degree.
   std::size_t max_in_degree = 0;
   for (const auto& in : in_channels_) {
     max_in_degree = std::max(max_in_degree, in.size());
   }
-  event_mode_ = config_.engine == SimEngine::Event && max_in_degree <= 64;
-  if (event_mode_) {
-    in_nonempty_.assign(static_cast<std::size_t>(n), 0);
-    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-    wake_now_.assign(words, 0);
-    wake_next_.assign(words, 0);
-    agenda_tag_.assign(static_cast<std::size_t>(n),
-                       std::numeric_limits<std::int64_t>::min());
-  }
+  in_words_ = std::max<std::size_t>(1, (max_in_degree + 63) / 64);
+  in_nonempty_.assign(static_cast<std::size_t>(n) * in_words_, 0);
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  wake_now_.assign(words, 0);
+  wake_next_.assign(words, 0);
+  agenda_tag_.assign(static_cast<std::size_t>(n),
+                     std::numeric_limits<std::int64_t>::min());
+  visit_all_ = config_.engine == SimEngine::Cycle;
   channel_occupancy_.assign(num_channels, 0);
   waiting_for_output_.assign(num_channels, 0);
   const std::size_t num_rings =
@@ -316,10 +313,10 @@ void Network::reset_arrays() {
     const auto vi = static_cast<std::size_t>(v);
     router_backlog_[vi] = 0;
     injection_pool_[vi].clear();
-    if (event_mode_) {
-      in_nonempty_[vi] = 0;
-      agenda_tag_[vi] = std::numeric_limits<std::int64_t>::min();
-    }
+    std::fill_n(in_nonempty_.begin() +
+                    static_cast<std::ptrdiff_t>(vi * in_words_),
+                in_words_, 0);
+    agenda_tag_[vi] = std::numeric_limits<std::int64_t>::min();
     router_dirty_[vi] = 0;
   }
   dirty_routers_.clear();
@@ -351,13 +348,11 @@ void Network::reset_scalars() {
   drain_seconds_ = 0.0;
   total_ejected_flits_ = 0;
   prev_total_flits_ = 0;
-  if (event_mode_) {
-    // O(routers / 64) words; the per-router agenda state is cleared by
-    // the array pass above.
-    std::fill(wake_now_.begin(), wake_now_.end(), 0);
-    std::fill(wake_next_.begin(), wake_next_.end(), 0);
-    agenda_.clear();
-  }
+  // O(routers / 64) words; the per-router agenda state is cleared by
+  // the array pass above.
+  std::fill(wake_now_.begin(), wake_now_.end(), 0);
+  std::fill(wake_next_.begin(), wake_next_.end(), 0);
+  agenda_.clear();
   if (has_timeline_) {
     next_fault_ = 0;
     any_dead_ = false;
@@ -460,7 +455,7 @@ void Network::process_due_terminal(int t) {
   if (packet.measured) ++measured_generated_;
   injection_pool_[static_cast<std::size_t>(packet.src_router)].push_back(id);
   backlog_inc(packet.src_router);
-  if (event_mode_) wake_router(packet.src_router, cycle_);
+  wake_router(packet.src_router, cycle_);
   if (telemetry_) {
     telemetry_->on_backlog(
         packet.src_router,
@@ -609,10 +604,7 @@ void Network::flush_dead_channel(int channel) {
   vc_nonempty_[c] = 0;
   channel_occupancy_[c] = 0;
   link_busy_until_[c] = 0;
-  if (event_mode_) {
-    in_nonempty_[static_cast<std::size_t>(target)] &=
-        ~(1ULL << channel_in_bit_[c]);
-  }
+  in_nonempty_[in_word_of(c)] &= ~in_bit_of(c);
   if (flushed != 0) {
     router_backlog_[static_cast<std::size_t>(target)] -= flushed;
     if (router_backlog_[static_cast<std::size_t>(target)] == 0) {
@@ -754,12 +746,10 @@ bool Network::try_dispatch(int packet_id, int at_router) {
         }
       } else if (config_.faults.policy == FaultPolicy::Reinject) {
         requeue_at_source(packet_id);
-        if (event_mode_) {
-          // The source's pool grew; it processes later this same cycle
-          // only if its id is still ahead of the agenda cursor.
-          wake_router(packet.src_router,
-                      packet.src_router > at_router ? cycle_ : cycle_ + 1);
-        }
+        // The source's pool grew; it processes later this same cycle
+        // only if its id is still ahead of the agenda cursor.
+        wake_router(packet.src_router,
+                    packet.src_router > at_router ? cycle_ : cycle_ + 1);
         return true;  // caller pops the buffer slot
       } else {
         drop_unreachable(packet_id, at_router);
@@ -776,8 +766,8 @@ bool Network::try_dispatch(int packet_id, int at_router) {
     if (packet.src_router == dst_router) {
       packet.route.push(packet.src_router);
     } else if (!has_timeline_) {
-      // Every branch below draws the shared RNG: the event core must
-      // revisit this router next cycle exactly when the cycle core's
+      // Every branch below draws the shared RNG: the Event policy must
+      // revisit this router next cycle exactly when the Cycle policy's
       // visit would draw again (notably pick_route failing every cycle
       // for an unreachable Reinject-policy packet).
       ev_dirty_ = true;
@@ -854,12 +844,9 @@ bool Network::try_dispatch(int packet_id, int at_router) {
   link_busy_until_[out] = cycle_ + config_.packet_size;
   channel_occupancy_[out] += config_.packet_size;
   backlog_inc(channel_target_[out]);
-  if (event_mode_) {
-    // The head arrives downstream next cycle (packet.ready below).
-    in_nonempty_[static_cast<std::size_t>(channel_target_[out])] |=
-        1ULL << channel_in_bit_[out];
-    wake_router(channel_target_[out], cycle_ + 1);
-  }
+  // The head arrives downstream next cycle (packet.ready below).
+  in_nonempty_[in_word_of(out)] |= in_bit_of(out);
+  wake_router(channel_target_[out], cycle_ + 1);
   if (telemetry_) {
     telemetry_->on_forward(out);
     telemetry_->on_class_enqueue(vc / subvcs_);
@@ -880,11 +867,9 @@ bool Network::try_dispatch(int packet_id, int at_router) {
   return true;
 }
 
-void Network::allocate_router(int v) { allocate_router_impl<false>(v); }
-
-template <bool kEvent>
 void Network::drain_channel(int v, int c) {
-  std::uint64_t mask = vc_nonempty_[static_cast<std::size_t>(c)];
+  const auto ci = static_cast<std::size_t>(c);
+  std::uint64_t mask = vc_nonempty_[ci];
   while (mask != 0) {
     // Highest VC first: higher hop classes are closer to delivery, and
     // draining them first keeps overload from jamming the intermediate
@@ -899,74 +884,67 @@ void Network::drain_channel(int v, int c) {
       ring_ends_[ring].front = next;
       const std::uint16_t remaining = --ring_size_[ring];
       if (remaining == 0) {
-        vc_nonempty_[static_cast<std::size_t>(c)] &= ~(1ULL << vc);
-        if (kEvent && vc_nonempty_[static_cast<std::size_t>(c)] == 0) {
-          in_nonempty_[static_cast<std::size_t>(v)] &=
-              ~(1ULL << channel_in_bit_[static_cast<std::size_t>(c)]);
+        vc_nonempty_[ci] &= ~(1ULL << vc);
+        if (vc_nonempty_[ci] == 0) {
+          in_nonempty_[in_word_of(ci)] &= ~in_bit_of(ci);
         }
       }
-      if (kEvent) {
-        ev_dirty_ = true;
-        if (static_cast<int>(remaining) + 1 == vc_cap_packets_) {
-          // Credit return from a previously-full ring: the upstream
-          // router may have a head blocked on exactly this VC. Same
-          // cycle if it still lies ahead of the agenda cursor.
-          const int u = channel_source_[static_cast<std::size_t>(c)];
-          wake_router(u, u > v ? cycle_ : cycle_ + 1);
-        }
+      ev_dirty_ = true;
+      if (static_cast<int>(remaining) + 1 == vc_cap_packets_) {
+        // Credit return from a previously-full ring: the upstream
+        // router may have a head blocked on exactly this VC. Same
+        // cycle if it still lies ahead of the agenda cursor.
+        const int u = channel_source_[ci];
+        wake_router(u, u > v ? cycle_ : cycle_ + 1);
       }
-      channel_occupancy_[static_cast<std::size_t>(c)] -=
-          config_.packet_size;
+      channel_occupancy_[ci] -= config_.packet_size;
       backlog_dec(v);
       if (telemetry_) telemetry_->on_class_dequeue(vc / subvcs_);
     }
   }
 }
 
-template <bool kEvent>
-void Network::allocate_router_impl(int v) {
+void Network::allocate_router(int v) {
   // Transit before injection: in-network packets get first claim on the
   // output links, otherwise saturated sources starve every through-flow
   // and the network gridlocks instead of plateauing.
+  //
+  // Rotating priority: the walk over the incoming channels starts at
+  // index cycle_ mod in-degree and wraps. Only channels with queued
+  // packets are visited, in that order (empty channels are no-ops, so
+  // the drains are identical to a walk over all of them). Draining a
+  // channel clears at most its own bit, so each mask word is read when
+  // the walk reaches it.
   const auto& incoming = in_channels_[static_cast<std::size_t>(v)];
-  if (kEvent) {
-    // Visit only channels with queued packets, in the order the full
-    // rotated walk would reach them (empty channels are no-ops there,
-    // so the drains are identical). A single candidate makes the
-    // rotation irrelevant and skips the modulo.
-    const std::uint64_t pending =
-        in_nonempty_[static_cast<std::size_t>(v)];
-    if (pending != 0) {
-      if ((pending & (pending - 1)) == 0) {
-        const int k = __builtin_ctzll(pending);
-        drain_channel<true>(v, incoming[static_cast<std::size_t>(k)]);
-      } else {
-        const std::size_t start =
-            static_cast<std::size_t>(cycle_) % incoming.size();
-        const std::uint64_t low =
-            start == 0 ? 0 : pending & ((1ULL << start) - 1);
-        std::uint64_t m = pending ^ low;  // indices >= start first
-        for (int pass = 0; pass < 2; ++pass) {
-          while (m != 0) {
-            const int k = __builtin_ctzll(m);
-            m &= m - 1;
-            drain_channel<true>(v, incoming[static_cast<std::size_t>(k)]);
-          }
-          m = low;  // then wrap to indices < start
-        }
-      }
+  const std::uint64_t* pending =
+      in_nonempty_.data() + static_cast<std::size_t>(v) * in_words_;
+  if (in_words_ == 1 && (pending[0] & (pending[0] - 1)) == 0) {
+    // At most one candidate: the rotation is irrelevant, skip the modulo.
+    if (pending[0] != 0) {
+      drain_channel(v, incoming[static_cast<std::size_t>(
+                           __builtin_ctzll(pending[0]))]);
     }
-  } else {
-    // Rotating priority: every router historically bumped its arbiter
-    // pointer once per cycle, so the pointer equals the cycle count —
-    // derive the start from cycle_ directly (bit-identical, and
-    // idle-router skipping cannot drift it).
+  } else if (!incoming.empty()) {
     const std::size_t start =
-        incoming.empty()
-            ? 0
-            : static_cast<std::size_t>(cycle_) % incoming.size();
-    for (std::size_t k = 0; k < incoming.size(); ++k) {
-      drain_channel<false>(v, incoming[(start + k) % incoming.size()]);
+        static_cast<std::size_t>(cycle_) % incoming.size();
+    const std::size_t first = start >> 6;
+    const std::uint64_t low = (1ULL << (start & 63)) - 1;
+    // Word `first` from bit `start` on, the words after it, wrapping to
+    // the words before it, and last word `first` below bit `start`.
+    for (std::size_t i = 0; i <= in_words_; ++i) {
+      std::size_t w = first + i;
+      if (w >= in_words_) w -= in_words_;
+      std::uint64_t m = pending[w];
+      if (i == 0) {
+        m &= ~low;
+      } else if (i == in_words_) {
+        m &= low;
+      }
+      while (m != 0) {
+        const int k = __builtin_ctzll(m);
+        m &= m - 1;
+        drain_channel(v, incoming[(w << 6) + static_cast<std::size_t>(k)]);
+      }
     }
   }
 
@@ -993,26 +971,10 @@ void Network::allocate_router_impl(int v) {
     }
   }
   if (dispatched != 0) {
-    if (kEvent) ev_dirty_ = true;
+    ev_dirty_ = true;
     while (read < pool.size()) pool[write++] = pool[read++];
     pool.resize(write);
   }
-}
-
-void Network::step() {
-  if (has_timeline_) advance_faults();
-  inject_new_packets();
-  const int n = graph_.num_vertices();
-  // Active-router worklist: a router with nothing queued (no VC ring
-  // occupied, empty injection pool) can neither dispatch nor draw
-  // randomness, so skipping it is exact.
-  for (int v = 0; v < n; ++v) {
-    if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
-      allocate_router(v);
-    }
-  }
-  if (telemetry_) telemetry_->end_cycle();
-  ++cycle_;
 }
 
 void Network::wake_router(int v, std::int64_t at) {
@@ -1027,7 +989,7 @@ void Network::wake_router(int v, std::int64_t at) {
     // wake-word scan is being paid anyway, so a far wake degrades to
     // next-cycle polling instead of heap churn. Early visits of a
     // blocked router are exact no-ops (no state change, no RNG draw) —
-    // the cycle core visits every backlogged router every cycle — so
+    // the Cycle policy visits every backlogged router every cycle — so
     // this changes cost only, never statistics.
     wake_next_[word] |= bit;
   } else {
@@ -1040,6 +1002,7 @@ void Network::wake_router(int v, std::int64_t at) {
 }
 
 std::int64_t Network::next_activity_cycle() const {
+  if (visit_all_) return cycle_;
   for (const std::uint64_t w : wake_now_) {
     if (w != 0) return cycle_;
   }
@@ -1052,13 +1015,15 @@ std::int64_t Network::next_activity_cycle() const {
   return std::max(at, cycle_);
 }
 
-void Network::process_event_cycle() {
-  if (has_timeline_ && advance_faults()) {
-    // Topology changed this cycle: flushes already requeued packets,
-    // committed routes may now cross dead links, revived links unblock
-    // heads — every queued packet anywhere may behave differently, so
-    // wake every backlogged router (this also keeps the shared-RNG
-    // re-path draws on the cycle core's schedule).
+void Network::process_cycle() {
+  // Wake every backlogged router under the Cycle policy, and under both
+  // when the topology changed this cycle: flushes already requeued
+  // packets, committed routes may now cross dead links, revived links
+  // unblock heads — every queued packet anywhere may behave differently
+  // (this also keeps the shared-RNG re-path draws on the Cycle policy's
+  // schedule). Routers that gain backlog later this cycle are woken
+  // where it happens.
+  if ((has_timeline_ && advance_faults()) || visit_all_) {
     const int n = graph_.num_vertices();
     for (int v = 0; v < n; ++v) {
       if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
@@ -1075,10 +1040,10 @@ void Network::process_event_cycle() {
     wake_now_[static_cast<std::size_t>(v) >> 6] |=
         1ULL << (static_cast<unsigned>(v) & 63);
   }
-  // Drain due routers in ascending id — the order the cycle core's full
-  // scan visits them. Wakes produced for this same cycle (credits to a
-  // higher-id upstream, requeues to a higher-id source) only ever set
-  // bits ahead of the cursor, so one forward pass sees everything.
+  // Drain due routers in ascending id. Wakes produced for this same
+  // cycle (credits to a higher-id upstream, requeues to a higher-id
+  // source) only ever set bits ahead of the cursor, so one forward pass
+  // sees everything.
   for (std::size_t w = 0; w < wake_now_.size(); ++w) {
     while (wake_now_[w] != 0) {
       const int b = __builtin_ctzll(wake_now_[w]);
@@ -1087,11 +1052,11 @@ void Network::process_event_cycle() {
       if (router_backlog_[static_cast<std::size_t>(v)] == 0) continue;
       ev_dirty_ = false;
       ev_hint_ = std::numeric_limits<std::int64_t>::max();
-      allocate_router_impl<true>(v);
+      allocate_router(v);
       if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
         if (ev_dirty_) {
-          // Something moved or the shared RNG was drawn: the cycle
-          // core's next visit could act (or draw) too.
+          // Something moved or the shared RNG was drawn: the next
+          // cycle's visit could act (or draw) too.
           wake_next_[w] |= 1ULL << static_cast<unsigned>(b);
         } else if (ev_hint_ != std::numeric_limits<std::int64_t>::max()) {
           wake_router(v, ev_hint_);
@@ -1141,18 +1106,18 @@ void Network::advance_window_gap(std::int64_t from, std::int64_t to) {
   }
 }
 
-bool Network::advance_event(std::int64_t end, bool check_stall,
-                            bool drain_mode, std::int64_t stall_after) {
+bool Network::advance(std::int64_t end, bool check_stall, bool drain_mode,
+                      std::int64_t stall_after) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  while (cycle_ < end) {
+  while (cycle_ < end && !wl_done_) {
     const bool outstanding =
         measured_generated_ > measured_delivered_ + measured_lost_;
     if (drain_mode && !outstanding) break;
-    // The watchdog's detection cycle: where the cycle core's post-step
-    // check first counts `stall_after` silent cycles. Activity at or
-    // past it never runs — the stall wins the tie. `outstanding` cannot
-    // change over a skipped span (injection and delivery are activity),
-    // so gating the cutoff on its current value is exact.
+    // The watchdog's detection cycle: the first cycle with `stall_after`
+    // silent cycles behind it. Activity at or past it never runs — the
+    // stall wins the tie. `outstanding` cannot change over a skipped
+    // span (injection and delivery are activity), so gating the cutoff
+    // on its current value is exact.
     std::int64_t stop = end;
     if (check_stall && outstanding && stall_after != kMax) {
       stop = std::min(stop, last_delivery_cycle_ + stall_after);
@@ -1166,19 +1131,19 @@ bool Network::advance_event(std::int64_t end, bool check_stall,
       if (has_timeline_) advance_window_gap(cycle_, target);
       cycle_ = target;
     }
-    // The watchdog's detection cycle wins its tie with activity — the
-    // cycle core's post-step check fires before the next step runs.
+    // The watchdog's detection cycle wins its tie with activity: the
+    // check after a cycle fires before the next cycle runs.
     if (check_stall && outstanding &&
         cycle_ - last_delivery_cycle_ >= stall_after) {
       stalled_ = true;
       return false;
     }
     // Phase boundary: activity scheduled exactly at `end` belongs to
-    // the next phase (the cycle core processes cycle `end` under the
-    // next phase's flags), and a span cut short by the watchdog stop
-    // leaves cycle_ < act with nothing to process yet.
+    // the next phase (cycle `end` runs under the next phase's flags),
+    // and a span cut short by the watchdog stop leaves cycle_ < act
+    // with nothing to process yet.
     if (cycle_ >= end || cycle_ < act) break;
-    process_event_cycle();
+    process_cycle();
     if (check_stall &&
         measured_generated_ > measured_delivered_ + measured_lost_ &&
         cycle_ - last_delivery_cycle_ >= stall_after) {
@@ -1187,62 +1152,6 @@ bool Network::advance_event(std::int64_t end, bool check_stall,
     }
   }
   return true;
-}
-
-void Network::run_phases_event() {
-  using clock = std::chrono::steady_clock;
-  const auto seconds_since = [](clock::time_point from,
-                                clock::time_point to) {
-    return std::chrono::duration<double>(to - from).count();
-  };
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-
-  // Resync the agenda from live queue state: run_phases may follow
-  // direct step() calls (which use the cycle allocator and leave the
-  // agenda stale); after construction or reset() this scan is a no-op.
-  const int n = graph_.num_vertices();
-  std::fill(in_nonempty_.begin(), in_nonempty_.end(), 0);
-  for (std::size_t c = 0; c < channel_target_.size(); ++c) {
-    if (vc_nonempty_[c] != 0) {
-      in_nonempty_[static_cast<std::size_t>(channel_target_[c])] |=
-          1ULL << channel_in_bit_[c];
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
-      wake_now_[static_cast<std::size_t>(v) >> 6] |=
-          1ULL << (static_cast<unsigned>(v) & 63);
-    }
-  }
-
-  const auto phase0 = clock::now();
-  advance_event(cycle_ + config_.warmup_cycles, false, false, kMax);
-  const auto phase1 = clock::now();
-  warmup_seconds_ = seconds_since(phase0, phase1);
-
-  // Same watchdog threshold selection as the cycle core.
-  std::int64_t stall_after = kMax;
-  if (config_.stall_cycles > 0) {
-    stall_after = config_.stall_cycles;
-  } else if (config_.stall_cycles == 0 && config_.drain_cycles > 0) {
-    stall_after = config_.drain_cycles;
-  }
-
-  measuring_ = true;
-  measure_start_ = cycle_;
-  measure_end_ = cycle_ + config_.measure_cycles;
-  last_delivery_cycle_ = cycle_;
-  advance_event(measure_end_, true, false, stall_after);
-  measuring_ = false;
-  const auto phase2 = clock::now();
-  measure_seconds_ = seconds_since(phase1, phase2);
-
-  last_delivery_cycle_ = std::max(last_delivery_cycle_, cycle_);
-  if (!stalled_) {
-    advance_event(cycle_ + config_.drain_cycles, true, true, stall_after);
-  }
-  drain_seconds_ = seconds_since(phase2, clock::now());
-  if (telemetry_) telemetry_->flush_trace();
 }
 
 void Network::wl_reset() {
@@ -1333,7 +1242,7 @@ void Network::wl_process_due(int t) {
   if (packet.measured) ++measured_generated_;
   injection_pool_[static_cast<std::size_t>(packet.src_router)].push_back(id);
   backlog_inc(packet.src_router);
-  if (event_mode_) wake_router(packet.src_router, cycle_);
+  wake_router(packet.src_router, cycle_);
   if (telemetry_) {
     telemetry_->on_backlog(
         packet.src_router,
@@ -1412,102 +1321,12 @@ void Network::wl_on_lost(const Packet& packet) {
   wl_on_delivery(packet);
 }
 
-void Network::run_phases_workload() {
-  using clock = std::chrono::steady_clock;
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  const auto t0 = clock::now();
-
-  // The whole run is one measured window: every packet is application
-  // traffic, and completion time is the headline statistic.
-  measuring_ = true;
-  measure_start_ = 0;
-  measure_end_ = kMax;
-  last_delivery_cycle_ = cycle_;
-  std::int64_t stall_after = kMax;
-  if (config_.stall_cycles > 0) {
-    stall_after = config_.stall_cycles;
-  } else if (config_.stall_cycles == 0 && config_.drain_cycles > 0) {
-    stall_after = config_.drain_cycles;
-  }
-  const std::int64_t budget = static_cast<std::int64_t>(config_.warmup_cycles) +
-                              config_.measure_cycles + config_.drain_cycles;
-
-  if (event_mode_) {
-    // Same agenda resync as run_phases_event: direct step() calls may
-    // have preceded us; after reset() this is a no-op.
-    const int n = graph_.num_vertices();
-    std::fill(in_nonempty_.begin(), in_nonempty_.end(), 0);
-    for (std::size_t c = 0; c < channel_target_.size(); ++c) {
-      if (vc_nonempty_[c] != 0) {
-        in_nonempty_[static_cast<std::size_t>(channel_target_[c])] |=
-            1ULL << channel_in_bit_[c];
-      }
-    }
-    for (int v = 0; v < n; ++v) {
-      if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
-        wake_now_[static_cast<std::size_t>(v) >> 6] |=
-            1ULL << (static_cast<unsigned>(v) & 63);
-      }
-    }
-    while (!wl_done_ && cycle_ < budget) {
-      const bool outstanding =
-          measured_generated_ > measured_delivered_ + measured_lost_;
-      std::int64_t stop = budget;
-      if (outstanding && stall_after != kMax) {
-        stop = std::min(stop, last_delivery_cycle_ + stall_after);
-      }
-      const std::int64_t act = next_activity_cycle();
-      const std::int64_t target = std::min(act, stop);
-      if (target > cycle_) {
-        if (telemetry_) telemetry_->advance_idle(target - cycle_);
-        if (has_timeline_) advance_window_gap(cycle_, target);
-        cycle_ = target;
-      }
-      if (outstanding && cycle_ - last_delivery_cycle_ >= stall_after) {
-        stalled_ = true;
-        break;
-      }
-      if (cycle_ >= budget || cycle_ < act) break;
-      process_event_cycle();
-      if (measured_generated_ > measured_delivered_ + measured_lost_ &&
-          cycle_ - last_delivery_cycle_ >= stall_after) {
-        stalled_ = true;
-        break;
-      }
-    }
-  } else {
-    while (!wl_done_ && cycle_ < budget) {
-      step();
-      if (measured_generated_ > measured_delivered_ + measured_lost_ &&
-          cycle_ - last_delivery_cycle_ >= stall_after) {
-        stalled_ = true;
-        break;
-      }
-    }
-  }
-  measuring_ = false;
-  measure_seconds_ =
-      std::chrono::duration<double>(clock::now() - t0).count();
-  if (telemetry_) telemetry_->flush_trace();
-}
-
 void Network::run_phases() {
-  if (workload_mode_) {
-    run_phases_workload();
-    return;
-  }
-  if (event_mode_) {
-    run_phases_event();
-    return;
-  }
   using clock = std::chrono::steady_clock;
   const auto seconds_since = [](clock::time_point from, clock::time_point to) {
     return std::chrono::duration<double>(to - from).count();
   };
-  const auto phase0 = clock::now();
-  for (int i = 0; i < config_.warmup_cycles; ++i) step();
-  const auto phase1 = clock::now();
-  warmup_seconds_ = seconds_since(phase0, phase1);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
 
   // Progress watchdog: a damaged (or pathologically congested) run that
   // stops delivering while measured packets are outstanding terminates
@@ -1515,40 +1334,49 @@ void Network::run_phases() {
   // default threshold (drain_cycles of silence, re-armed per phase) can
   // only fire on a run whose entire drain budget passed without a single
   // delivery — it never perturbs a run the old schedule completed.
-  std::int64_t stall_after = std::numeric_limits<std::int64_t>::max();
+  std::int64_t stall_after = kMax;
   if (config_.stall_cycles > 0) {
     stall_after = config_.stall_cycles;
   } else if (config_.stall_cycles == 0 && config_.drain_cycles > 0) {
     stall_after = config_.drain_cycles;
   }
-  const auto is_stalled = [&] {
-    return measured_generated_ > measured_delivered_ + measured_lost_ &&
-           cycle_ - last_delivery_cycle_ >= stall_after;
-  };
+
+  if (workload_mode_) {
+    // The whole run is one measured window: every packet is application
+    // traffic, and completion time is the headline statistic. The window
+    // ends when the workload completes or the cycle budget runs out.
+    const auto t0 = clock::now();
+    measuring_ = true;
+    measure_start_ = 0;
+    measure_end_ = kMax;
+    last_delivery_cycle_ = cycle_;
+    advance(static_cast<std::int64_t>(config_.warmup_cycles) +
+                config_.measure_cycles + config_.drain_cycles,
+            true, false, stall_after);
+    measuring_ = false;
+    measure_seconds_ = seconds_since(t0, clock::now());
+    if (telemetry_) telemetry_->flush_trace();
+    return;
+  }
+
+  const auto phase0 = clock::now();
+  advance(cycle_ + config_.warmup_cycles, false, false, kMax);
+  const auto phase1 = clock::now();
+  warmup_seconds_ = seconds_since(phase0, phase1);
 
   measuring_ = true;
   measure_start_ = cycle_;
   measure_end_ = cycle_ + config_.measure_cycles;
   last_delivery_cycle_ = cycle_;
-  for (int i = 0; i < config_.measure_cycles; ++i) {
-    step();
-    if (is_stalled()) {
-      stalled_ = true;
-      break;
-    }
-  }
+  advance(measure_end_, true, false, stall_after);
   measuring_ = false;
   const auto phase2 = clock::now();
   measure_seconds_ = seconds_since(phase1, phase2);
 
   // Drain until every measured packet is delivered or accounted lost.
   last_delivery_cycle_ = std::max(last_delivery_cycle_, cycle_);
-  for (int i = 0;
-       !stalled_ && i < config_.drain_cycles &&
-       measured_delivered_ + measured_lost_ < measured_generated_;
-       ++i) {
-    step();
-    if (is_stalled()) stalled_ = true;
+  if (!stalled_) {
+    advance(cycle_ + config_.drain_cycles, true, true, stall_after);
   }
   drain_seconds_ = seconds_since(phase2, clock::now());
   if (telemetry_) telemetry_->flush_trace();

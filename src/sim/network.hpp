@@ -99,17 +99,17 @@ struct DegradationStats {
   std::vector<std::int64_t> reconvergence;
 };
 
-/// Which core executes run_phases(). Both cores simulate the identical
-/// model and produce bit-identical statistics (gated in CI at rtol 0):
-///   - Event: a global (cycle, router) agenda wakes a router only when
-///     something can change for it (packet arrival, credit return,
-///     injection, fault event); cycles with an empty agenda are skipped
-///     wholesale, with telemetry windows and the fault recovery window
-///     advanced over the gap in bulk.
-///   - Cycle: the reference core; step() advances every backlogged
-///     router each cycle.
-/// The event core needs one agenda bit per incoming channel and falls
-/// back to the cycle core on routers with in-degree > 64.
+/// How run_phases() picks the routers to visit. Both engines run the same
+/// loop over the same (cycle, router) agenda and differ only in this
+/// visit policy; they produce bit-identical statistics (gated in CI at
+/// rtol 0), which checks that the agenda wakes every router that needs
+/// a visit:
+///   - Event: a router is woken only when something can change for it
+///     (packet arrival, credit return, injection, fault event); cycles
+///     with an empty agenda are skipped wholesale, with telemetry windows
+///     and the fault recovery window advanced over the gap in bulk.
+///   - Cycle: the reference policy; every backlogged router is woken at
+///     the top of every cycle and no cycle is skipped.
 enum class SimEngine { Event, Cycle };
 
 /// "event" / "cycle" (suite key config.engine, pf_sim --engine).
@@ -125,7 +125,7 @@ struct SimConfig {
   int measure_cycles = 4000;
   int drain_cycles = 8000;
   std::uint64_t seed = 42;
-  /// Simulator core for run_phases(); bit-identical either way.
+  /// Router visit policy for run_phases(); bit-identical either way.
   SimEngine engine = SimEngine::Event;
   /// Progress watchdog: during measure/drain, if no packet is delivered
   /// for this many cycles while measured packets are outstanding, the
@@ -208,9 +208,6 @@ class Network {
   /// packet it is about to inject (fresh packets can only enter class 0,
   /// so normalizing by the whole port would never read "congested").
   double first_hop_occupancy(int u, int v) const;
-
-  /// Advances one cycle.
-  void step();
 
   /// Runs the standard warmup / measure / drain schedule.
   void run_phases();
@@ -317,6 +314,14 @@ class Network {
                static_cast<std::size_t>(vcs_used_) +
            static_cast<std::size_t>(vc);
   }
+  /// Channel c's word and bit in its target router's in_nonempty_ mask.
+  std::size_t in_word_of(std::size_t c) const {
+    return static_cast<std::size_t>(channel_target_[c]) * in_words_ +
+           (static_cast<std::size_t>(channel_in_index_[c]) >> 6);
+  }
+  std::uint64_t in_bit_of(std::size_t c) const {
+    return 1ULL << (static_cast<unsigned>(channel_in_index_[c]) & 63);
+  }
   void reset_state();
   /// Rebuilds the injection heap: restores the pre-captured
   /// post-first-draw RNG states and derives each first wakeup in closed
@@ -364,35 +369,32 @@ class Network {
   /// source queue is over its backlog cap) and schedule the next wakeup.
   void process_due_terminal(int t);
   void schedule_terminal(int t, std::int64_t at);
-  void allocate_router(int v);
-  /// Shared allocator body; kEvent additionally maintains the agenda
+  /// Visits router v: drains its occupied input channels in rotating
+  /// priority order, then its injection pool; maintains the agenda
   /// (credit wakeups, in-channel masks, dirty/hint rearm inputs).
-  template <bool kEvent>
-  void allocate_router_impl(int v);
+  void allocate_router(int v);
   /// Drains one input channel: highest-VC-first grant attempts against
   /// the rotating-priority snapshot, popping every winner.
-  template <bool kEvent>
   void drain_channel(int v, int channel);
   bool try_dispatch(int packet_id, int at_router);  ///< grant check + move
   void eject(int packet_id);
   void release_packet(int packet_id);
 
-  // --- event core (engine = event; see run_phases_event) ---
+  // --- the simulation loop (see run_phases) ---
   /// Schedules router v to be examined at cycle `at` (clamped to now).
   void wake_router(int v, std::int64_t at);
   /// Earliest cycle at which anything can happen: a due wake bit, the
   /// agenda heap top, the injection heap top, or the next fault event.
+  /// Always cycle_ under the Cycle policy, which never skips.
   std::int64_t next_activity_cycle() const;
   /// Runs all due work for cycle_ and advances it by one.
-  void process_event_cycle();
-  /// Event-core phase driver: advances to `end`, skipping idle spans
-  /// wholesale. Mirrors the cycle core's per-phase loop semantics
-  /// exactly (stall detection after each processed/skipped cycle,
-  /// drain early-exit before each). Returns false when the stall
-  /// watchdog fired.
-  bool advance_event(std::int64_t end, bool check_stall, bool drain_mode,
-                     std::int64_t stall_after);
-  void run_phases_event();
+  void process_cycle();
+  /// The window driver: advances to `end` (or until a workload
+  /// completes), skipping idle spans wholesale. Stall detection runs
+  /// after each processed or skipped cycle, the drain early-exit before
+  /// each. Returns false when the stall watchdog fired.
+  bool advance(std::int64_t end, bool check_stall, bool drain_mode,
+               std::int64_t stall_after);
   /// Bulk-advances the fault recovery window over skipped cycles
   /// [from, to): feeds the final processed cycle's ejection delta at
   /// `from` (where recovery can settle) and zero-fills the rest.
@@ -400,8 +402,8 @@ class Network {
 
   // --- runtime-fault machinery (all no-ops when has_timeline_ is false) ---
   /// Applies events due this cycle and updates recovery tracking.
-  /// True when at least one topology event was applied (the event core
-  /// then wakes every backlogged router: any queued packet may need a
+  /// True when at least one topology event was applied (the cycle then
+  /// wakes every backlogged router: any queued packet may need a
   /// re-path, flush, or revived link this very cycle).
   bool advance_faults();
   void apply_fault(const FaultEvent& event, std::size_t index);
@@ -442,8 +444,6 @@ class Network {
   /// Delivery bookkeeping shared by eject: receive + ack counters, then
   /// phase advancement for receiver and sender.
   void wl_on_delivery(const Packet& packet);
-  /// Workload-mode run_phases body (both engines, identical schedules).
-  void run_phases_workload();
 
   // --- telemetry/trace helpers (no-ops unless telemetry_ is live) ---
   /// Maps a directed channel id back to its (upstream, downstream) pair.
@@ -509,19 +509,21 @@ class Network {
   /// sampled gaps stay bit-identical to the unhoisted form.
   double inj_log1m_p_ = 0.0;
 
-  // Event core (engine = event). A two-level agenda: bitmasks over
+  // The agenda, shared by both engines. Two levels: bitmasks over
   // routers for wakes due this cycle / next cycle (the overwhelmingly
   // common cases: O(routers/64) per cycle, ascending router order for
   // free), and a (cycle, router) min-heap for far-future hints with a
   // per-router tag suppressing exact-duplicate pushes. Deterministic by
   // construction: each cycle's due set is drained in ascending router
   // id, and same-cycle wakes only ever target routers after the cursor.
-  bool event_mode_ = false;  ///< engine == Event && max in-degree <= 64
+  bool visit_all_ = false;  ///< engine == Cycle: wake every backlogged router
   std::vector<std::int32_t> channel_source_;  ///< channel -> upstream
-  /// channel -> its bit in the target router's in_nonempty_ mask
-  /// (its index in in_channels_[target]); valid only in event mode.
-  std::vector<std::uint8_t> channel_in_bit_;
-  std::vector<std::uint64_t> in_nonempty_;  ///< per router, event mode
+  /// channel -> its index k in in_channels_[target]; its in_nonempty_
+  /// bit is bit k & 63 of the target's word k >> 6.
+  std::vector<std::int32_t> channel_in_index_;
+  /// Per router, in_words_ words: one bit per occupied incoming channel.
+  std::vector<std::uint64_t> in_nonempty_;
+  std::size_t in_words_ = 1;  ///< ceil(max in-degree / 64), at least 1
   std::vector<std::uint64_t> wake_now_;     ///< due at cycle_
   std::vector<std::uint64_t> wake_next_;    ///< due at cycle_ + 1
   std::vector<std::pair<std::int64_t, std::int32_t>> agenda_;  ///< far wakes
@@ -556,14 +558,14 @@ class Network {
 
   std::vector<std::vector<int>> injection_pool_;  ///< per router
   /// Packets queued at each router (VC rings + injection pool); routers
-  /// at zero are skipped by step() — the active-router worklist.
+  /// at zero are never visited — the active-router worklist.
   std::vector<int> router_backlog_;
   /// Routers with backlog > 0 right now. Above kSaturatedNum/Den of the
-  /// network the event core stops paying heap churn for far wakes and
+  /// network the agenda stops paying heap churn for far wakes and
   /// polls via the next-cycle bitmask instead: an early visit of a
   /// blocked router is a no-op that draws no RNG (every action in the
-  /// allocator is state/cycle-gated, exactly like the cycle core's
-  /// unconditional per-cycle visits), so the conversion is exact.
+  /// allocator is state/cycle-gated, exactly like the Cycle policy's
+  /// per-cycle visits), so the conversion is exact.
   int active_routers_ = 0;
   static constexpr int kSaturatedNum = 3;  ///< fast path at >= 3/4 active
   static constexpr int kSaturatedDen = 4;
@@ -609,7 +611,7 @@ class Network {
   double drain_seconds_ = 0.0;
 
   // Runtime-fault state. Sized/maintained only when has_timeline_; the
-  // default path never touches it beyond a single branch per step.
+  // default path never touches it beyond a single branch per cycle.
   bool has_timeline_ = false;
   bool any_dead_ = false;        ///< at least one link currently down
   std::size_t next_fault_ = 0;   ///< cursor into config_.faults.events

@@ -180,7 +180,7 @@ class TelemetryCollector {
   void end_cycle();
   /// Bulk equivalent of `cycles` consecutive end_cycle() calls over an
   /// idle span (no movement, so buffered occupancy is constant): the
-  /// event core accounts skipped cycles with this instead of stepping.
+  /// Event engine accounts skipped cycles with this instead of stepping.
   /// Exact — windows roll (and coalesce) at the same cycle boundaries.
   void advance_idle(std::int64_t cycles);
 

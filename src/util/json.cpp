@@ -230,6 +230,22 @@ std::uint64_t JsonValue::as_uint() const {
   return static_cast<std::uint64_t>(int_);
 }
 
+int JsonValue::as_int_in(const std::string& path, int lo, int hi) const {
+  if (kind_ != Kind::Number || !is_integral_) {
+    throw JsonError(path + ": expected integer, got " +
+                    (kind_ == Kind::Number ? "non-integral number"
+                                           : describe()));
+  }
+  if (is_unsigned_ || int_ < lo || int_ > hi) {
+    const std::string shown =
+        is_unsigned_ ? std::to_string(static_cast<std::uint64_t>(int_))
+                     : std::to_string(int_);
+    throw JsonError(path + " = " + shown + " out of range [" +
+                    std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<int>(int_);
+}
+
 const std::string& JsonValue::as_string() const {
   if (kind_ != Kind::String) {
     throw JsonError("expected string, got " + describe());

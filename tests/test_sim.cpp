@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/polarfly.hpp"
+#include "exp/engine.hpp"
 #include "graph/algos.hpp"
 #include "sim/deadlock.hpp"
 #include "sim/harness.hpp"
@@ -427,8 +428,9 @@ TEST(Simulator, LowLoadDelivers) {
 }
 
 TEST(Simulator, SweepFindsSaturation) {
-  PfFixture fx;
-  const sim::MinimalRouting routing(fx.pf.graph(), fx.oracle);
+  const auto setup = exp::make_polarfly_setup(5, 3);
+  const sim::MinimalRouting routing(setup.graph, *setup.oracle);
+  const sim::UniformTraffic pattern(setup.terminals());
   sim::SimConfig config;
   config.warmup_cycles = 200;
   config.measure_cycles = 400;
@@ -436,8 +438,8 @@ TEST(Simulator, SweepFindsSaturation) {
   const auto loads = sim::load_steps(0.2, 1.0, 3);
   ASSERT_EQ(loads.size(), 3u);
   EXPECT_NEAR(loads[1], 0.6, 1e-12);
-  const auto sweep = sim::sweep_loads(fx.pf.graph(), fx.endpoints, routing,
-                                      fx.pattern, config, loads, "test");
+  const auto sweep =
+      exp::run_sweep(setup, routing, pattern, config, loads, "test");
   ASSERT_EQ(sweep.points.size(), 3u);
   EXPECT_GT(sweep.saturation(), 0.15);
   for (const auto& point : sweep.points) {
@@ -592,18 +594,33 @@ TEST(Simulator, ResetAfterStalledRunMatchesFreshConstruction) {
 
 /// Runs the same scenario under both engines and expects every measured
 /// statistic to match bit for bit.
-void expect_engines_bit_equal(const PfFixture& fx,
+/// FNV-1a of a finished run's order-sensitive outputs: every measured
+/// latency in delivery order, then the delivered count, the peak VC
+/// depth and the final cycle.
+std::uint64_t run_hash(const sim::Network& net) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::int64_t latency : net.measured_latencies()) {
+    fnv1a(h, static_cast<std::uint64_t>(latency));
+  }
+  fnv1a(h, static_cast<std::uint64_t>(net.delivered_packets()));
+  fnv1a(h, static_cast<std::uint64_t>(net.peak_vc_packets()));
+  fnv1a(h, static_cast<std::uint64_t>(net.current_cycle()));
+  return h;
+}
+
+/// Runs one point under both engines, expects every statistic equal, and
+/// returns the run_hash they share.
+std::uint64_t expect_engines_bit_equal(const graph::Graph& g,
+                              const std::vector<int>& endpoints,
                               const sim::RoutingAlgorithm& routing,
                               const sim::TrafficPattern& pattern,
                               sim::SimConfig config, double load) {
   config.engine = sim::SimEngine::Cycle;
-  sim::Network cycle_net(fx.pf.graph(), fx.endpoints, routing, pattern,
-                         config, load);
+  sim::Network cycle_net(g, endpoints, routing, pattern, config, load);
   cycle_net.run_phases();
 
   config.engine = sim::SimEngine::Event;
-  sim::Network event_net(fx.pf.graph(), fx.endpoints, routing, pattern,
-                         config, load);
+  sim::Network event_net(g, endpoints, routing, pattern, config, load);
   event_net.run_phases();
 
   EXPECT_EQ(event_net.accepted_load(), cycle_net.accepted_load()) << load;
@@ -614,6 +631,8 @@ void expect_engines_bit_equal(const PfFixture& fx,
   EXPECT_EQ(event_net.peak_vc_packets(), cycle_net.peak_vc_packets());
   EXPECT_EQ(event_net.converged(), cycle_net.converged());
   EXPECT_EQ(event_net.current_cycle(), cycle_net.current_cycle()) << load;
+  EXPECT_EQ(run_hash(event_net), run_hash(cycle_net)) << load;
+  return run_hash(event_net);
 }
 
 TEST(EventEngine, MatchesCycleCoreBitExactly) {
@@ -631,8 +650,52 @@ TEST(EventEngine, MatchesCycleCoreBitExactly) {
   config.measure_cycles = 500;
   config.drain_cycles = 1500;
   for (const double load : {0.01, 0.05, 0.3}) {
-    expect_engines_bit_equal(fx, min_routing, fx.pattern, config, load);
-    expect_engines_bit_equal(fx, ugal, randperm, config, load);
+    expect_engines_bit_equal(fx.pf.graph(), fx.endpoints, min_routing,
+                             fx.pattern, config, load);
+    expect_engines_bit_equal(fx.pf.graph(), fx.endpoints, ugal, randperm,
+                             config, load);
+  }
+}
+
+TEST(EventEngine, MatchesCycleCoreAboveInDegree64) {
+  // HyperX a=65, b=2: 130 routers, every in-degree 65, so each router's
+  // in-channel mask spans two words and the rotated allocator walk must
+  // cross the word boundary (and wrap back into the start word) in the
+  // same order as a walk over all 65 channels. Both engines share the
+  // mask walk, so their equality cannot catch a walk that skips or
+  // reorders channels; the pins can: they were recorded by a rotated
+  // walk over every incoming channel, with no masks.
+  const auto hx = topo::make_topology("hyperx:a=65,b=2");
+  ASSERT_EQ(hx.graph.num_vertices(), 130);
+  for (int v = 0; v < hx.graph.num_vertices(); ++v) {
+    ASSERT_EQ(hx.graph.degree(v), 65);
+  }
+  const sim::DistanceOracle oracle(hx.graph);
+  const auto endpoints = sim::uniform_endpoints(hx.graph.num_vertices(), 2);
+  const sim::UniformTraffic uniform(sim::terminal_routers(endpoints));
+  const sim::MinimalRouting min_routing(hx.graph, oracle);
+  const sim::UgalRouting ugal(hx.graph, oracle, false);
+
+  sim::SimConfig config;
+  config.warmup_cycles = 300;
+  config.measure_cycles = 500;
+  config.drain_cycles = 1800;
+  struct Leg {
+    const sim::RoutingAlgorithm* routing;
+    double load;
+    std::uint64_t pin;
+  };
+  const Leg legs[] = {
+      {&min_routing, 0.05, 0x2ccc9c52eeee8d5eULL},
+      {&ugal, 0.05, 0xc1f64d2a30a119e9ULL},
+      {&min_routing, 0.9, 0x3a2fc0574b5814e1ULL},
+      {&ugal, 0.9, 0x6eaf25eb59ed6d70ULL},
+  };
+  for (const Leg& leg : legs) {
+    const std::uint64_t h = expect_engines_bit_equal(
+        hx.graph, endpoints, *leg.routing, uniform, config, leg.load);
+    EXPECT_EQ(h, leg.pin) << leg.routing->name() << " load " << leg.load
+                          << " 0x" << std::hex << h;
   }
 }
 
@@ -653,7 +716,8 @@ TEST(EventEngine, AgendaTieBreakMatchesAscendingRouterOrder) {
   config.drain_cycles = 2500;
   config.packet_size = 16;
   for (const double load : {0.9, 1.0}) {
-    expect_engines_bit_equal(fx, ugal, fx.pattern, config, load);
+    expect_engines_bit_equal(fx.pf.graph(), fx.endpoints, ugal, fx.pattern,
+                             config, load);
   }
 }
 
@@ -765,20 +829,6 @@ TEST(EventEngine, MatchesCycleCoreOnWorkloads) {
       }
     }
   }
-}
-
-/// FNV-1a of a finished run's order-sensitive outputs: every measured
-/// latency in delivery order, then the delivered count, the peak VC
-/// depth and the final cycle.
-std::uint64_t run_hash(const sim::Network& net) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::int64_t latency : net.measured_latencies()) {
-    fnv1a(h, static_cast<std::uint64_t>(latency));
-  }
-  fnv1a(h, static_cast<std::uint64_t>(net.delivered_packets()));
-  fnv1a(h, static_cast<std::uint64_t>(net.peak_vc_packets()));
-  fnv1a(h, static_cast<std::uint64_t>(net.current_cycle()));
-  return h;
 }
 
 TEST(Simulator, VcQueueOrderIsPinned) {

@@ -211,6 +211,39 @@ TEST(SuiteParse, SchemaViolationsNameTheOffender) {
                "scenarios[1]");
 }
 
+TEST(SuiteParse, NarrowedIntegersAreRangeChecked) {
+  // A suite integer that does not fit its field is refused, naming the
+  // key path, instead of wrapping: 4294967496 used to run as warmup 200,
+  // and 99999999999 as a 1.2e9-cycle warmup.
+  const auto suite_with_warmup = [](const std::string& warmup) {
+    return "{\"schema\": \"polarfly-suite/1\", \"scenarios\": "
+           "[{\"topology\": \"pf:q=5\", \"loads\": [0.5], "
+           "\"config\": {\"warmup\": " + warmup + "}}]}";
+  };
+  for (const char* warmup : {"4294967496", "99999999999", "-1",
+                             "18446744073709551615", "2.5"}) {
+    try {
+      exp::parse_suite(suite_with_warmup(warmup));
+      FAIL() << "expected std::invalid_argument for warmup " << warmup;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scenarios[0].config.warmup"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const auto suite = exp::parse_suite(suite_with_warmup("2147483647"));
+  EXPECT_EQ(suite.cases[0].spec.config.warmup_cycles, 2147483647);
+
+  const auto v = util::json_parse("{\"n\": 7}");
+  EXPECT_EQ(v.at("n").as_int_in("n", 0, 7), 7);
+  try {
+    v.at("n").as_int_in("a.b.n", 0, 6);
+    FAIL() << "expected util::JsonError";
+  } catch (const util::JsonError& e) {
+    EXPECT_STREQ(e.what(), "a.b.n = 7 out of range [0, 6]");
+  }
+}
+
 TEST(SuiteParse, CommittedPaperSuiteResolvesEverywhere) {
   // The shipped paper matrix must parse, expand, and name only
   // constructible topologies/routings/patterns — a committed-but-broken
