@@ -26,9 +26,11 @@
 // Routing:  MIN | VAL | CVAL | UGAL | UGALPF | NCA (fat tree) | ALG (PF)
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -615,6 +617,16 @@ int run_trace_stats(const util::CliArgs& args) {
             util::json_parse(text.substr(pos, eol - pos));
         const std::int64_t cycle = line.at("cycle").as_int();
         const std::string& event = line.at("event").as_string();
+        // Router ids are read before anything is counted, and one beyond
+        // int32 (which would alias another router) makes the whole line
+        // unparseable.
+        const auto router = [&line](const char* key) {
+          return line.at(key).as_int_in(
+              key, 0, std::numeric_limits<std::int32_t>::max());
+        };
+        const bool inject = event == "inject", hop = event == "hop";
+        const int from = inject ? router("src") : hop ? router("from") : -1;
+        const int to = hop ? router("to") : -1;
         ++counts[event];
         if (prev_cycle < 0) {
           first_cycle = cycle;
@@ -626,11 +638,10 @@ int run_trace_stats(const util::CliArgs& args) {
         if (cycle != prev_cycle) ++active_cycles;
         prev_cycle = cycle;
         last_cycle = cycle;
-        if (event == "inject") {
-          ++router_events[static_cast<int>(line.at("src").as_int())][0];
-        } else if (event == "hop") {
-          ++router_events[static_cast<int>(line.at("from").as_int())][1];
-          ++router_events[static_cast<int>(line.at("to").as_int())][2];
+        if (inject) ++router_events[from][0];
+        if (hop) {
+          ++router_events[from][1];
+          ++router_events[to][2];
         }
       } catch (const std::exception&) {
         ++bad;

@@ -1,11 +1,12 @@
 // Tolerance-aware trajectory comparison of polarfly-run/1 documents —
 // the regression gate behind `pf_sim diff <baseline> <candidate>`.
 // Records are matched by record_key() (identity only: label, axes,
-// seeds, load grid), then their whole trajectories are compared value by
-// value: every point's offered/accepted load, latencies, hops and cycle
-// counts, the saturation estimate, and the deterministic perf counters.
-// Machine-dependent perf fields (wall_seconds, cycles_per_sec) are
-// deliberately NOT compared. See docs/schemas.md for the conventions.
+// seeds, load grid), then walked through the field table
+// (exp/record_fields.hpp) value by value: every measurement, count and
+// telemetry block, each by its field's kind. Identity, derived and
+// machine-dependent perf fields (wall_seconds, cycles_per_sec, phase
+// seconds) are deliberately NOT compared. See docs/schemas.md for the
+// conventions.
 #pragma once
 
 #include <cstddef>

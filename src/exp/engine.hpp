@@ -51,6 +51,8 @@ struct RunPoint {
   /// Histograms, exact percentiles and congestion series; present (and
   /// serialized) only when the point ran with telemetry enabled.
   sim::PointTelemetry telemetry;
+
+  bool operator==(const RunPoint&) const = default;
 };
 
 /// Aggregate performance counters for one record.
@@ -69,6 +71,14 @@ struct PerfCounters {
   double warmup_seconds = 0.0;
   double measure_seconds = 0.0;
   double drain_seconds = 0.0;
+
+  /// Any phase time recorded (placeholder records have none).
+  bool phase_timed() const {
+    return setup_seconds > 0.0 || reset_seconds > 0.0 ||
+           warmup_seconds > 0.0 || measure_seconds > 0.0 ||
+           drain_seconds > 0.0;
+  }
+  bool operator==(const PerfCounters&) const = default;
 };
 
 /// One sweep (or saturation search) with its provenance and counters.
@@ -99,6 +109,7 @@ struct RunRecord {
   /// Largest accepted load over the points (accepted plateaus once
   /// offered load passes saturation).
   double saturation() const;
+  bool operator==(const RunRecord&) const = default;
 };
 
 // ---- sweep building blocks ----------------------------------------------

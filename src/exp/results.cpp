@@ -1,119 +1,188 @@
 #include "exp/results.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
+#include "exp/record_fields.hpp"
 #include "util/json.hpp"
 
 namespace pf::exp {
 namespace {
 
-/// Measurement fields round-trip through JSON as null when non-finite
-/// (JsonWriter degrades NaN/inf to null); read them back as NaN so diff
-/// tooling can compare them instead of choking on the type.
-double as_metric(const util::JsonValue& value) {
-  return value.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                         : value.as_double();
+using fields::Of;
+
+constexpr const char* kRunSchema = "polarfly-run/1";
+constexpr const char* kAggregateSchema = "polarfly-bench-aggregate/2";
+
+/// The document's schema string ("" when it names none), checked before
+/// anything else is read so a wrong document fails on its schema.
+std::string schema_of(const util::JsonValue& root) {
+  const util::JsonValue* schema = root.find("schema");
+  return schema != nullptr ? schema->as_string() : "";
 }
 
-void write_int_array(util::JsonWriter& json, const char* key,
-                     const std::vector<std::int64_t>& values) {
-  json.key(key).begin_array();
-  for (const std::int64_t v : values) json.value(v);
-  json.end_array();
-}
+template <class T>
+void write_object(util::JsonWriter& json, const T& object);
 
-void write_point_telemetry(util::JsonWriter& json,
-                           const sim::PointTelemetry& t) {
-  json.key("telemetry").begin_object();
-  json.key("window").value(t.window);
-  json.key("latency_p50").value(t.latency_p50);
-  json.key("latency_p99").value(t.latency_p99);
-  json.key("latency_p999").value(t.latency_p999);
-  json.key("latency_max").value(t.latency_max);
-  write_int_array(json, "latency_hist", t.latency_hist);
-  write_int_array(json, "hops_hist", t.hops_hist);
-  json.key("link_util_mean").value(t.link_util_mean);
-  json.key("link_util_max").value(t.link_util_max);
-  json.key("hot_links").begin_array();
-  for (const sim::LinkTelemetry& link : t.hot_links) {
-    json.begin_object();
-    json.key("u").value(static_cast<std::int64_t>(link.u));
-    json.key("v").value(static_cast<std::int64_t>(link.v));
-    json.key("util").value(link.util);
-    json.key("series").begin_array();
-    for (const double u : link.series) json.value(u);
-    json.end_array();
-    json.end_object();
+/// The writer: emits an object's fields in table order.
+template <class T>
+class FieldWriter {
+ public:
+  FieldWriter(util::JsonWriter& json, const T& object)
+      : json_(json), object_(object) {}
+
+  template <class M>
+  void field(const char* key, M T::*member, fields::Spec spec) {
+    const M& value = object_.*member;
+    if (!fields::is_written(value, spec.presence)) return;
+    json_.key(key);
+    put(value);
   }
-  json.end_array();
-  json.key("vc_occupancy").begin_array();
-  for (const auto& series : t.vc_occupancy) {
-    json.begin_array();
-    for (const double v : series) json.value(v);
-    json.end_array();
+  template <class R>
+  void derived(const char* key, R (T::*fn)() const) {
+    json_.key(key).value((object_.*fn)());
   }
-  json.end_array();
-  json.key("peak_backlog").value(t.peak_backlog);
-  json.key("peak_backlog_router").value(t.peak_backlog_router);
+  template <class Table>
+  void block(const char* key, bool T::*gate, Table table) {
+    if (!(object_.*gate)) return;
+    json_.key(key).begin_object();
+    table(*this);
+    json_.end_object();
+  }
+  template <class Table>
+  void group(bool (T::*gate)() const, Table table) {
+    if ((object_.*gate)()) table(*this);
+  }
+
+ private:
+  template <class M>
+  void put(const M& value) {
+    if constexpr (fields::is_vector<M>) {
+      json_.begin_array();
+      for (const auto& item : value) put(item);
+      json_.end_array();
+    } else if constexpr (std::is_class_v<M> &&
+                         !std::is_same_v<M, std::string>) {
+      write_object(json_, value);
+    } else {
+      json_.value(value);
+    }
+  }
+
+  util::JsonWriter& json_;
+  const T& object_;
+};
+
+template <class T>
+void write_object(util::JsonWriter& json, const T& object) {
+  json.begin_object();
+  FieldWriter<T> writer(json, object);
+  fields::visit_fields(writer, Of<T>{});
   json.end_object();
 }
 
-sim::PointTelemetry parse_point_telemetry(const util::JsonValue& v) {
-  sim::PointTelemetry t;
-  t.present = true;
-  for (const auto& [key, value] : v.members()) {
-    if (key == "window") t.window = static_cast<int>(value.as_int());
-    else if (key == "latency_p50") t.latency_p50 = value.as_int();
-    else if (key == "latency_p99") t.latency_p99 = value.as_int();
-    else if (key == "latency_p999") t.latency_p999 = value.as_int();
-    else if (key == "latency_max") t.latency_max = value.as_int();
-    else if (key == "latency_hist") {
-      for (const auto& c : value.items()) t.latency_hist.push_back(c.as_int());
-    } else if (key == "hops_hist") {
-      for (const auto& c : value.items()) t.hops_hist.push_back(c.as_int());
-    } else if (key == "link_util_mean") {
-      t.link_util_mean = as_metric(value);
-    } else if (key == "link_util_max") {
-      t.link_util_max = as_metric(value);
-    } else if (key == "hot_links") {
-      for (const auto& l : value.items()) {
-        sim::LinkTelemetry link;
-        for (const auto& [lkey, lvalue] : l.members()) {
-          if (lkey == "u") link.u = static_cast<std::int32_t>(lvalue.as_int());
-          else if (lkey == "v") {
-            link.v = static_cast<std::int32_t>(lvalue.as_int());
-          } else if (lkey == "util") {
-            link.util = as_metric(lvalue);
-          } else if (lkey == "series") {
-            for (const auto& s : lvalue.items()) {
-              link.series.push_back(as_metric(s));
-            }
-          } else {
-            throw std::invalid_argument("unknown hot-link key '" + lkey +
-                                        "'");
-          }
-        }
-        t.hot_links.push_back(std::move(link));
-      }
-    } else if (key == "vc_occupancy") {
-      for (const auto& cls : value.items()) {
-        std::vector<double> series;
-        for (const auto& w : cls.items()) series.push_back(as_metric(w));
-        t.vc_occupancy.push_back(std::move(series));
-      }
-    } else if (key == "peak_backlog") {
-      t.peak_backlog = static_cast<int>(value.as_int());
-    } else if (key == "peak_backlog_router") {
-      t.peak_backlog_router = static_cast<int>(value.as_int());
-    } else {
-      throw std::invalid_argument("unknown telemetry key '" + key + "'");
+template <class T, class Table>
+void read_object(const util::JsonValue& json, const std::string& prefix,
+                 T& object, Table table);
+
+template <class T>
+constexpr auto table_of = [](auto& v) { fields::visit_fields(v, Of<T>{}); };
+
+/// One JSON value into `out`, checked against the field's spec. `path`
+/// names the value in errors, e.g. "points[2].telemetry.window".
+template <class M>
+void read_value(const util::JsonValue& json, const std::string& path,
+                M& out, const fields::Spec& spec) {
+  if constexpr (fields::is_vector<M>) {
+    out.clear();
+    const auto& items = json.items();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      read_value(items[i], path + "[" + std::to_string(i) + "]",
+                 out.emplace_back(), spec);
+    }
+  } else if constexpr (std::is_same_v<M, std::string>) {
+    out = json.as_string();
+  } else if constexpr (std::is_same_v<M, bool>) {
+    out = json.as_bool();
+  } else if constexpr (std::is_floating_point_v<M>) {
+    // Non-finite measurements are written as null; read them back as
+    // NaN so diff tooling can compare them.
+    out = json.is_null() ? std::numeric_limits<M>::quiet_NaN()
+                         : json.as_double();
+  } else if constexpr (std::is_unsigned_v<M>) {
+    out = json.as_uint();
+  } else if constexpr (std::is_integral_v<M>) {
+    using Limits = std::numeric_limits<M>;
+    out = static_cast<M>(json.as_int_in(
+        path, std::max<std::int64_t>(spec.lo, Limits::min()),
+        std::min<std::int64_t>(spec.hi, Limits::max())));
+  } else {
+    read_object(json, path + ".", out, table_of<M>);
+  }
+}
+
+/// The checked reader: applies one JSON member to the table entry with
+/// the same key; `found` stays false for a key the table lacks.
+template <class T>
+class FieldReader {
+ public:
+  FieldReader(T& object, const std::string& key,
+              const util::JsonValue& value, const std::string& prefix)
+      : object_(object), key_(key), value_(value), prefix_(prefix) {}
+
+  template <class M>
+  void field(const char* key, M T::*member, fields::Spec spec) {
+    if (found || key_ != key) return;
+    found = true;
+    M& out = object_.*member;
+    if constexpr (requires { out.present; }) out.present = true;
+    read_value(value_, prefix_ + key, out, spec);
+  }
+  template <class R>
+  void derived(const char* key, R (T::*)() const) {
+    found = found || key_ == key;
+  }
+  template <class Table>
+  void block(const char* key, bool T::*gate, Table table) {
+    if (found || key_ != key) return;
+    found = true;
+    object_.*gate = true;
+    read_object(value_, prefix_ + key + ".", object_, table);
+  }
+  template <class Table>
+  void group(bool (T::*)() const, Table table) {
+    table(*this);
+  }
+
+  bool found = false;
+
+ private:
+  T& object_;
+  const std::string& key_;
+  const util::JsonValue& value_;
+  const std::string& prefix_;
+};
+
+template <class T, class Table>
+void read_object(const util::JsonValue& json, const std::string& prefix,
+                 T& object, Table table) {
+  for (const auto& [key, value] : json.members()) {
+    FieldReader<T> reader(object, key, value, prefix);
+    table(reader);
+    if (!reader.found) {
+      throw std::invalid_argument("unknown key '" + prefix + key + "'");
     }
   }
-  return t;
+}
+
+template <class T>
+T read_tabled(const util::JsonValue& json) {
+  T object;
+  read_object(json, "", object, table_of<T>);
+  return object;
 }
 
 }  // namespace
@@ -260,9 +329,7 @@ void print_report(const RunRecord& record, int top_links) {
   }
 
   const PerfCounters& perf = record.perf;
-  if (perf.setup_seconds > 0.0 || perf.reset_seconds > 0.0 ||
-      perf.warmup_seconds > 0.0 || perf.measure_seconds > 0.0 ||
-      perf.drain_seconds > 0.0) {
+  if (perf.phase_timed()) {
     std::printf(
         "phases: setup %.3fs | reset %.3fs | warmup %.3fs | measure %.3fs "
         "| drain %.3fs\n",
@@ -272,104 +339,13 @@ void print_report(const RunRecord& record, int top_links) {
 }
 
 void append_record_json(util::JsonWriter& json, const RunRecord& record) {
-  json.begin_object();
-  json.key("label").value(record.label);
-  json.key("topology").value(record.topology);
-  json.key("routing").value(record.routing);
-  json.key("pattern").value(record.pattern);
-  json.key("routers").value(record.routers);
-  json.key("terminals").value(record.terminals);
-  json.key("seed").value(static_cast<std::uint64_t>(record.seed));
-  if (record.pattern_seed != 0) {
-    json.key("pattern_seed")
-        .value(static_cast<std::uint64_t>(record.pattern_seed));
-  }
-  if (!record.status.empty()) json.key("status").value(record.status);
-  json.key("saturation").value(record.saturation());
-  if (record.saturation_estimate > 0.0) {
-    json.key("saturation_estimate").value(record.saturation_estimate);
-  }
-  json.key("points").begin_array();
-  for (const auto& point : record.points) {
-    json.begin_object();
-    json.key("offered").value(point.offered);
-    json.key("accepted").value(point.accepted);
-    json.key("avg_latency").value(point.avg_latency);
-    json.key("p99_latency").value(point.p99_latency);
-    json.key("converged").value(point.converged);
-    json.key("mean_hops").value(point.mean_hops);
-    json.key("cycles").value(point.cycles);
-    if (point.stalled) json.key("stalled").value(true);
-    if (point.has_degradation) {
-      json.key("degradation").begin_object();
-      json.key("dropped").value(point.dropped);
-      json.key("reinjected").value(point.reinjected);
-      json.key("rerouted").value(point.rerouted);
-      json.key("unreachable_dropped").value(point.unreachable_dropped);
-      json.key("unreachable_pairs").value(point.unreachable_pairs);
-      json.key("reconvergence").begin_array();
-      for (const std::int64_t cycles : point.reconvergence) {
-        json.value(cycles);
-      }
-      json.end_array();
-      json.end_object();
-    }
-    if (point.has_workload) {
-      // Integer-exact completion accounting: diffed at rtol 0, see
-      // docs/schemas.md "Workload block".
-      json.key("workload").begin_object();
-      json.key("done").value(point.workload_done);
-      json.key("completion_cycles").value(point.workload_completion);
-      json.key("lost").value(point.workload_lost);
-      write_int_array(json, "phase_cycles", point.workload_phase_cycles);
-      json.end_object();
-    }
-    if (point.telemetry.present) write_point_telemetry(json, point.telemetry);
-    json.end_object();
-  }
-  json.end_array();
-  if (record.telemetry.present) {
-    const sim::RecordTelemetry& t = record.telemetry;
-    json.key("telemetry").begin_object();
-    write_int_array(json, "latency_hist", t.latency_hist);
-    write_int_array(json, "hops_hist", t.hops_hist);
-    json.key("latency_max").value(t.latency_max);
-    json.key("peak_backlog").value(t.peak_backlog);
-    json.key("peak_backlog_router").value(t.peak_backlog_router);
-    json.end_object();
-  }
-  json.key("perf").begin_object();
-  json.key("sim_cycles").value(record.perf.sim_cycles);
-  json.key("wall_seconds").value(record.perf.wall_seconds);
-  json.key("cycles_per_sec").value(record.perf.cycles_per_sec);
-  json.key("mean_hop_count").value(record.perf.mean_hop_count);
-  json.key("peak_vc_occupancy").value(record.perf.peak_vc_occupancy);
-  // Phase breakdown: wall-clock class (never diffed), omitted from
-  // placeholder records that simulated nothing so legacy shapes and
-  // skip/resume skeletons stay byte-stable.
-  if (record.perf.setup_seconds > 0.0 || record.perf.reset_seconds > 0.0 ||
-      record.perf.warmup_seconds > 0.0 ||
-      record.perf.measure_seconds > 0.0 || record.perf.drain_seconds > 0.0) {
-    json.key("setup_seconds").value(record.perf.setup_seconds);
-    json.key("reset_seconds").value(record.perf.reset_seconds);
-    json.key("warmup_seconds").value(record.perf.warmup_seconds);
-    json.key("measure_seconds").value(record.perf.measure_seconds);
-    json.key("drain_seconds").value(record.perf.drain_seconds);
-  }
-  json.end_object();
-  json.end_object();
+  write_object(json, record);
 }
 
 std::string to_json(const std::vector<RunRecord>& records,
                     const std::string& tool) {
   util::JsonWriter json;
-  json.begin_object();
-  json.key("schema").value("polarfly-run/1");
-  json.key("tool").value(tool);
-  json.key("records").begin_array();
-  for (const auto& record : records) append_record_json(json, record);
-  json.end_array();
-  json.end_object();
+  write_object(json, RunDocument{kRunSchema, tool, records});
   return json.str();
 }
 
@@ -389,25 +365,20 @@ RunDocument parse_run_document(const std::string& json_text) {
 }
 
 RunDocument parse_run_document(const util::JsonValue& root) {
-  RunDocument doc;
-  doc.schema = root.at("schema").as_string();
-  if (doc.schema != "polarfly-run/1") {
-    throw std::invalid_argument("document schema '" + doc.schema +
-                                "' is not polarfly-run/1");
+  const std::string schema = schema_of(root);
+  if (schema != kRunSchema) {
+    throw std::invalid_argument("document schema '" + schema + "' is not " +
+                                kRunSchema);
   }
-  doc.tool = root.at("tool").as_string();
-  for (const auto& r : root.at("records").items()) {
-    doc.records.push_back(parse_run_record(r));
-  }
-  return doc;
+  return read_tabled<RunDocument>(root);
 }
 
 RunDocument parse_bench_aggregate(const util::JsonValue& root) {
   RunDocument doc;
-  doc.schema = root.at("schema").as_string();
-  if (doc.schema != "polarfly-bench-aggregate/2") {
+  doc.schema = schema_of(root);
+  if (doc.schema != kAggregateSchema) {
     throw std::invalid_argument("document schema '" + doc.schema +
-                                "' is not polarfly-bench-aggregate/2");
+                                "' is not " + kAggregateSchema);
   }
   doc.tool = "bench_to_json";
   for (const auto& run : root.at("runs").items()) {
@@ -420,135 +391,12 @@ RunDocument parse_bench_aggregate(const util::JsonValue& root) {
 
 RunDocument parse_records_document(const std::string& json_text) {
   const util::JsonValue root = util::json_parse(json_text);
-  if (root.find("schema") != nullptr &&
-      root.at("schema").as_string() == "polarfly-bench-aggregate/2") {
-    return parse_bench_aggregate(root);
-  }
-  return parse_run_document(root);
+  return schema_of(root) == kAggregateSchema ? parse_bench_aggregate(root)
+                                             : parse_run_document(root);
 }
 
-RunRecord parse_run_record(const util::JsonValue& r) {
-  RunRecord record;
-  for (const auto& [key, value] : r.members()) {
-    if (key == "label") record.label = value.as_string();
-    else if (key == "topology") record.topology = value.as_string();
-    else if (key == "routing") record.routing = value.as_string();
-    else if (key == "pattern") record.pattern = value.as_string();
-    else if (key == "routers") record.routers = static_cast<int>(value.as_int());
-    else if (key == "terminals") record.terminals = static_cast<int>(value.as_int());
-    else if (key == "seed") record.seed = value.as_uint();
-    else if (key == "pattern_seed") record.pattern_seed = value.as_uint();
-    else if (key == "status") record.status = value.as_string();
-    else if (key == "saturation") {
-      // Derived from the points; nothing to restore.
-    } else if (key == "saturation_estimate") {
-      record.saturation_estimate = as_metric(value);
-    } else if (key == "points") {
-      for (const auto& p : value.items()) {
-        RunPoint point;
-        for (const auto& [pkey, pvalue] : p.members()) {
-          if (pkey == "offered") point.offered = as_metric(pvalue);
-          else if (pkey == "accepted") point.accepted = as_metric(pvalue);
-          else if (pkey == "avg_latency") point.avg_latency = as_metric(pvalue);
-          else if (pkey == "p99_latency") point.p99_latency = as_metric(pvalue);
-          else if (pkey == "converged") point.converged = pvalue.as_bool();
-          else if (pkey == "mean_hops") point.mean_hops = as_metric(pvalue);
-          else if (pkey == "cycles") point.cycles = pvalue.as_int();
-          else if (pkey == "stalled") point.stalled = pvalue.as_bool();
-          else if (pkey == "degradation") {
-            point.has_degradation = true;
-            for (const auto& [dkey, dvalue] : pvalue.members()) {
-              if (dkey == "dropped") point.dropped = dvalue.as_int();
-              else if (dkey == "reinjected") point.reinjected = dvalue.as_int();
-              else if (dkey == "rerouted") point.rerouted = dvalue.as_int();
-              else if (dkey == "unreachable_dropped") {
-                point.unreachable_dropped = dvalue.as_int();
-              } else if (dkey == "unreachable_pairs") {
-                point.unreachable_pairs = dvalue.as_int();
-              } else if (dkey == "reconvergence") {
-                for (const auto& c : dvalue.items()) {
-                  point.reconvergence.push_back(c.as_int());
-                }
-              } else {
-                throw std::invalid_argument("unknown degradation key '" +
-                                            dkey + "'");
-              }
-            }
-          } else if (pkey == "workload") {
-            point.has_workload = true;
-            for (const auto& [wkey, wvalue] : pvalue.members()) {
-              if (wkey == "done") point.workload_done = wvalue.as_bool();
-              else if (wkey == "completion_cycles") {
-                point.workload_completion = wvalue.as_int();
-              } else if (wkey == "lost") {
-                point.workload_lost = wvalue.as_int();
-              } else if (wkey == "phase_cycles") {
-                for (const auto& c : wvalue.items()) {
-                  point.workload_phase_cycles.push_back(c.as_int());
-                }
-              } else {
-                throw std::invalid_argument("unknown workload key '" + wkey +
-                                            "'");
-              }
-            }
-          } else if (pkey == "telemetry") {
-            point.telemetry = parse_point_telemetry(pvalue);
-          } else {
-            throw std::invalid_argument("unknown point key '" + pkey + "'");
-          }
-        }
-        record.points.push_back(std::move(point));
-      }
-    } else if (key == "telemetry") {
-      record.telemetry.present = true;
-      for (const auto& [tkey, tvalue] : value.members()) {
-        if (tkey == "latency_hist") {
-          for (const auto& c : tvalue.items()) {
-            record.telemetry.latency_hist.push_back(c.as_int());
-          }
-        } else if (tkey == "hops_hist") {
-          for (const auto& c : tvalue.items()) {
-            record.telemetry.hops_hist.push_back(c.as_int());
-          }
-        } else if (tkey == "latency_max") {
-          record.telemetry.latency_max = tvalue.as_int();
-        } else if (tkey == "peak_backlog") {
-          record.telemetry.peak_backlog = static_cast<int>(tvalue.as_int());
-        } else if (tkey == "peak_backlog_router") {
-          record.telemetry.peak_backlog_router =
-              static_cast<int>(tvalue.as_int());
-        } else {
-          throw std::invalid_argument("unknown record telemetry key '" +
-                                      tkey + "'");
-        }
-      }
-    } else if (key == "perf") {
-      for (const auto& [pkey, pvalue] : value.members()) {
-        if (pkey == "sim_cycles") record.perf.sim_cycles = pvalue.as_int();
-        else if (pkey == "wall_seconds") record.perf.wall_seconds = as_metric(pvalue);
-        else if (pkey == "cycles_per_sec") record.perf.cycles_per_sec = as_metric(pvalue);
-        else if (pkey == "mean_hop_count") record.perf.mean_hop_count = as_metric(pvalue);
-        else if (pkey == "peak_vc_occupancy") {
-          record.perf.peak_vc_occupancy = static_cast<int>(pvalue.as_int());
-        } else if (pkey == "setup_seconds") {
-          record.perf.setup_seconds = as_metric(pvalue);
-        } else if (pkey == "reset_seconds") {
-          record.perf.reset_seconds = as_metric(pvalue);
-        } else if (pkey == "warmup_seconds") {
-          record.perf.warmup_seconds = as_metric(pvalue);
-        } else if (pkey == "measure_seconds") {
-          record.perf.measure_seconds = as_metric(pvalue);
-        } else if (pkey == "drain_seconds") {
-          record.perf.drain_seconds = as_metric(pvalue);
-        } else {
-          throw std::invalid_argument("unknown perf key '" + pkey + "'");
-        }
-      }
-    } else {
-      throw std::invalid_argument("unknown record key '" + key + "'");
-    }
-  }
-  return record;
+RunRecord parse_run_record(const util::JsonValue& value) {
+  return read_tabled<RunRecord>(value);
 }
 
 std::string record_json_line(const RunRecord& record) {

@@ -1,7 +1,7 @@
-// The results layer: serializes RunRecords as JSON (schema
-// "polarfly-run/1", see README "Experiment engine") so every bench and
-// pf_sim can emit machine-readable output via --json <path>, and
-// bench_to_json can aggregate the per-binary files into one trajectory.
+// The results layer: writes RunRecords as polarfly-run/1 JSON
+// (docs/schemas.md) for every --json <path> and checkpoint journal, and
+// reads them back range-checked. Both directions, like pf_sim diff, walk
+// the one field table in exp/record_fields.hpp.
 #pragma once
 
 #include <string>
@@ -34,7 +34,7 @@ std::string to_json(const std::vector<RunRecord>& records,
                     const std::string& tool);
 
 /// One record object into an open array/value position of `out` — the
-/// building block to_json and the bench aggregator share.
+/// building block of checkpoint lines and the bench aggregator.
 void append_record_json(util::JsonWriter& out, const RunRecord& record);
 
 /// Writes to_json(records, tool) to `path` ("-" = stdout); false on I/O
@@ -51,11 +51,14 @@ struct RunDocument {
 };
 
 /// Parses a polarfly-run/1 document back into RunRecords — the exact
-/// inverse of to_json. Throws util::JsonError on malformed JSON and
-/// std::invalid_argument on schema violations (wrong schema string,
-/// unknown record keys), so trajectory tooling fails on drift instead of
-/// silently dropping fields. The JsonValue overload serves callers that
-/// already parsed the text (e.g. to sniff the schema).
+/// inverse of to_json. Throws util::JsonError on malformed JSON, on a
+/// value of the wrong type and on an integer outside its field's range,
+/// and std::invalid_argument on a wrong schema string or a key the field
+/// table lacks; range and key errors name the key path (e.g.
+/// "records[0].points[2].cycles"), so trajectory tooling fails on drift
+/// instead of silently dropping or wrapping values. The JsonValue
+/// overload serves callers that already parsed the text (e.g. to sniff
+/// the schema).
 RunDocument parse_run_document(const std::string& json_text);
 RunDocument parse_run_document(const util::JsonValue& root);
 
@@ -73,7 +76,7 @@ RunDocument parse_records_document(const std::string& json_text);
 
 /// One record (the element shape of "records") parsed back — the
 /// building block parse_run_document and checkpoint loading share.
-/// Throws std::invalid_argument on unknown keys.
+/// Throws like parse_run_document, with key paths relative to the record.
 RunRecord parse_run_record(const util::JsonValue& value);
 
 // ---- checkpoint journal --------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "sim/workload.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/slimfly.hpp"
@@ -261,14 +262,27 @@ sim::FaultTimeline FailureSchedule::compile(const graph::Graph& g) const {
             : static_cast<std::size_t>(
                   static_cast<double>(order.size()) * flap.rate + 1e-9);
     order.resize(std::min(count, order.size()));
+    const std::uint64_t per_link = static_cast<std::uint64_t>(flap.repeats) *
+                                   (flap.up_after > 0 ? 2 : 1);
+    if (order.size() * per_link > sim::kMaxExpansion) {
+      throw fail("flap expands to " + std::to_string(order.size()) +
+                 " link(s) x " + std::to_string(per_link) +
+                 " events, which exceeds 2^26");
+    }
     for (const auto& [u, v] : order) {
       for (int rep = 0; rep < flap.repeats; ++rep) {
-        const std::int64_t base = flap.down_at + rep * flap.period;
+        std::int64_t base = 0, up = 0;
+        if (__builtin_mul_overflow(std::int64_t{rep}, flap.period, &base) ||
+            __builtin_add_overflow(base, flap.down_at, &base) ||
+            __builtin_add_overflow(base, flap.up_after, &up)) {
+          throw fail("flap event cycle overflows int64 at repeat " +
+                     std::to_string(rep));
+        }
         timeline.events.push_back({sim::FaultEvent::Kind::LinkDown, base,
                                    u, v});
         if (flap.up_after > 0) {
-          timeline.events.push_back({sim::FaultEvent::Kind::LinkUp,
-                                     base + flap.up_after, u, v});
+          timeline.events.push_back({sim::FaultEvent::Kind::LinkUp, up, u,
+                                     v});
         }
       }
     }

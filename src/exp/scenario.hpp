@@ -174,7 +174,9 @@ struct FailureSchedule {
 
   /// Validates against `g` (event links must exist, routers in range)
   /// and expands flaps into concrete events. Throws std::invalid_argument
-  /// naming the schedule on invalid input.
+  /// naming the schedule on invalid input, on a flap that would expand to
+  /// more than 2^26 events (checked before expanding) and on a flap
+  /// event cycle that overflows int64.
   sim::FaultTimeline compile(const graph::Graph& g) const;
 };
 

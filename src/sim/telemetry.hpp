@@ -107,6 +107,8 @@ struct LinkTelemetry {
   std::int32_t v = 0;  ///< downstream router
   double util = 0.0;   ///< busy flit-cycles / simulated cycles, whole run
   std::vector<double> series;  ///< per-window utilization
+
+  bool operator==(const LinkTelemetry&) const = default;
 };
 
 /// Telemetry extracted from one simulated sweep point.
@@ -128,6 +130,8 @@ struct PointTelemetry {
   std::vector<std::vector<double>> vc_occupancy;
   int peak_backlog = 0;         ///< deepest single-router queue (packets)
   int peak_backlog_router = -1;
+
+  bool operator==(const PointTelemetry&) const = default;
 };
 
 /// Record-level telemetry aggregate: integer counters only, so merging
@@ -142,6 +146,7 @@ struct RecordTelemetry {
 
   void merge(const PointTelemetry& point);
   void merge(const RecordTelemetry& other);
+  bool operator==(const RecordTelemetry&) const = default;
 };
 
 /// Owned by a Network when telemetry is enabled. Hot-path hooks are

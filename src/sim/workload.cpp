@@ -18,9 +18,8 @@ namespace {
 
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 constexpr std::int64_t kMaxParam = 1 << 20;
-/// Size caps of the compiled form: (rank, phase) rows and messages (the
-/// latter bounded by the uint32 row offsets).
-constexpr std::uint64_t kMaxRows = std::uint64_t{1} << 26;
+/// Size cap of the compiled form's messages, bounded by the uint32 row
+/// offsets; its (rank, phase) rows are capped by kMaxExpansion.
 constexpr std::uint64_t kMaxMessages =
     std::numeric_limits<std::uint32_t>::max();
 
@@ -211,7 +210,7 @@ void Workload::init(const std::string& spec, int ranks, int phases,
                     std::uint64_t messages) {
   const std::uint64_t rows =
       static_cast<std::uint64_t>(ranks) * static_cast<std::uint64_t>(phases);
-  if (rows > kMaxRows) {
+  if (rows > kMaxExpansion) {
     spec_fail(spec, std::to_string(ranks) + " ranks x " +
                         std::to_string(phases) + " phases exceeds 2^26");
   }
@@ -524,7 +523,7 @@ std::shared_ptr<const Workload> Workload::from_trace(
                    "phases = " + std::to_string(p64) +
                        " out of range [1, " + std::to_string(kMaxParam) + "]");
       }
-      if (static_cast<std::uint64_t>(r64 * p64) > kMaxRows) {
+      if (static_cast<std::uint64_t>(r64 * p64) > kMaxExpansion) {
         trace_fail(context, lineno, "ranks * phases exceeds 2^26");
       }
       ranks = static_cast<int>(r64);

@@ -25,6 +25,11 @@ struct WorkloadMessage {
   std::int64_t release = 0;
 };
 
+/// Cap on what one compact spec may expand to before anything is
+/// allocated: a compiled workload's (rank, phase) rows, and the events a
+/// failure schedule's flaps expand to.
+inline constexpr std::uint64_t kMaxExpansion = std::uint64_t{1} << 26;
+
 /// An immutable compiled workload. Ranks are terminal indices; the
 /// network asserts num_ranks() matches its terminal count.
 class Workload {

@@ -231,6 +231,12 @@ std::uint64_t JsonValue::as_uint() const {
 }
 
 int JsonValue::as_int_in(const std::string& path, int lo, int hi) const {
+  return static_cast<int>(
+      as_int_in(path, std::int64_t{lo}, std::int64_t{hi}));
+}
+
+std::int64_t JsonValue::as_int_in(const std::string& path, std::int64_t lo,
+                                  std::int64_t hi) const {
   if (kind_ != Kind::Number || !is_integral_) {
     throw JsonError(path + ": expected integer, got " +
                     (kind_ == Kind::Number ? "non-integral number"
@@ -243,7 +249,7 @@ int JsonValue::as_int_in(const std::string& path, int lo, int hi) const {
     throw JsonError(path + " = " + shown + " out of range [" +
                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
-  return static_cast<int>(int_);
+  return int_;
 }
 
 const std::string& JsonValue::as_string() const {

@@ -103,11 +103,13 @@ class JsonValue {
   /// (had a fraction/exponent) or does not fit.
   std::int64_t as_int() const;
   std::uint64_t as_uint() const;
-  /// The number as an int in [lo, hi]. Throws naming `path`, the value's
-  /// key path (e.g. "scenarios[0].config.warmup"), when the token is not
-  /// an integer or falls outside the bounds, so nothing is narrowed
-  /// silently.
+  /// The number as an integer in [lo, hi] (int or int64 bounds). Throws
+  /// naming `path`, the value's key path (e.g.
+  /// "scenarios[0].config.warmup"), when the token is not an integer or
+  /// falls outside the bounds, so nothing is narrowed silently.
   int as_int_in(const std::string& path, int lo, int hi) const;
+  std::int64_t as_int_in(const std::string& path, std::int64_t lo,
+                         std::int64_t hi) const;
   const std::string& as_string() const;
 
   /// Array elements / object members (in document order).

@@ -111,6 +111,50 @@ TEST(FailureSchedule, FlapsExpandDeterministically) {
   EXPECT_NE(schedule.canonical().find("flap"), std::string::npos);
 }
 
+/// The message compile() throws for a schedule with this one flap.
+std::string flap_refusal(const exp::FailureSchedule::Flap& flap) {
+  const exp::NetSetup setup = exp::make_polarfly_setup(3, 1);
+  exp::FailureSchedule schedule;
+  schedule.flaps.push_back(flap);
+  try {
+    schedule.compile(setup.graph);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "(accepted)";
+}
+
+TEST(FailureSchedule, OversizedFlapIsRefusedBeforeExpanding) {
+  // One link x 2e9 repeats x (down + up) = 4e9 events: refused by the
+  // 2^26 cap before a single event is allocated.
+  exp::FailureSchedule::Flap flap;
+  flap.count = 1;
+  flap.down_at = 10;
+  flap.up_after = 5;
+  flap.period = 20;
+  flap.repeats = 2000000000;
+  EXPECT_NE(flap_refusal(flap).find("1 link(s) x 4000000000 events, which "
+                                    "exceeds 2^26"),
+            std::string::npos)
+      << flap_refusal(flap);
+}
+
+TEST(FailureSchedule, FlapCycleOverflowIsRefused) {
+  exp::FailureSchedule::Flap flap;
+  flap.count = 1;
+  flap.down_at = 9223372036854775000;
+  flap.up_after = 9223372036854775000;
+  flap.period = 9223372036854775000;
+  flap.repeats = 3;
+  EXPECT_NE(flap_refusal(flap).find("overflows int64 at repeat 0"),
+            std::string::npos)
+      << flap_refusal(flap);
+  flap.up_after = 0;  // the down events alone overflow one repeat later
+  EXPECT_NE(flap_refusal(flap).find("overflows int64 at repeat 1"),
+            std::string::npos)
+      << flap_refusal(flap);
+}
+
 // ---- live injection ------------------------------------------------------
 
 TEST(LiveFaults, NeverFiringTimelineIsBitIdentical) {
