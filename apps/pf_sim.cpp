@@ -17,7 +17,6 @@
 //   pf_sim suite <file.json> [--json PATH|-] [--quiet] [--serial]
 //          [--case-workers N] [--checkpoint PATH [--resume]]
 //          [--progress [SECS]] [--telemetry]
-//   pf_sim keys <records.json>
 //   pf_sim diff <baseline.json> <candidate.json> [--rtol R] [--atol A]
 //          [--junit PATH]
 //   pf_sim report <records.json> [--top N]
@@ -55,6 +54,12 @@
 namespace pf::apps {
 namespace {
 
+// Integer options are range-checked before narrowing, with the bounds the
+// suite reader applies to the same fields (exp/suite.cpp); seeds refuse
+// negatives like JsonValue::as_uint.
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kSeedMax = std::numeric_limits<std::int64_t>::max();
+
 void usage_suite(std::FILE* f) {
   std::fputs(
       "usage: pf_sim suite <file.json> [--json PATH|-] [--quiet]\n"
@@ -80,8 +85,8 @@ void usage_suite(std::FILE* f) {
       "                   config.telemetry)\n"
       "  --engine E       force the router visit policy (event|cycle) on\n"
       "                   every case, overriding config.engine — the two\n"
-      "                   are bit-identical (the CI equivalence gate runs\n"
-      "                   suites under both and diffs at rtol 0)\n",
+      "                   are bit-identical (the ctest gates run suites\n"
+      "                   under both and diff at rtol 0)\n",
       f);
 }
 
@@ -89,8 +94,7 @@ void usage_report(std::FILE* f) {
   std::fputs(
       "usage: pf_sim report <records.json> [--top N]\n"
       "       pf_sim report --compare <baseline.json> <candidate.json>\n"
-      "  render a polarfly-run/1 (or bench-aggregate) document for "
-      "humans:\n"
+      "  render a polarfly-run/1 document for humans:\n"
       "  per-point latency percentiles (p50/p99/p999/max), link "
       "utilization\n"
       "  and peak backlog from each record's telemetry block, plus the\n"
@@ -101,14 +105,6 @@ void usage_report(std::FILE* f) {
       "  throughput/latency (and, with telemetry, percentile) tables\n"
       "  with per-metric delta columns plus a perf summary. Rendering\n"
       "  only — the pass/fail regression gate stays `pf_sim diff`.\n",
-      f);
-}
-
-void usage_keys(std::FILE* f) {
-  std::fputs(
-      "usage: pf_sim keys <records.json>\n"
-      "  print the record keys of a polarfly-run/1 document, one per "
-      "line\n",
       f);
 }
 
@@ -141,8 +137,6 @@ int usage() {
       "       (--load X | --loads lo:hi:count | --saturation-search)\n"
       "pf_sim suite <file.json> [--json PATH|-] [--quiet] [--serial]\n"
       "       run a polarfly-suite/1 scenario suite end-to-end\n"
-      "pf_sim keys <records.json>\n"
-      "       print the record keys of a polarfly-run/1 document\n"
       "pf_sim diff <baseline.json> <candidate.json> [--rtol R] [--atol A]\n"
       "       tolerance-aware trajectory comparison of two documents\n"
       "pf_sim report <records.json> [--top N]\n"
@@ -231,10 +225,9 @@ bool reject_stray_arguments(const util::CliArgs& args,
   return stray;
 }
 
-/// Reads and parses one records-bearing document (polarfly-run/1 or a
-/// polarfly-bench-aggregate/2 trajectory, sniffed by schema), or exits
-/// with a clear message plus the subcommand's usage (missing files name
-/// the operand they were meant to satisfy).
+/// Reads and parses one polarfly-run/1 document, or exits with a clear
+/// message plus the subcommand's usage (missing files name the operand
+/// they were meant to satisfy).
 exp::RunDocument load_run_document(const std::string& path,
                                    const char* subcommand,
                                    void (*usage_fn)(std::FILE*)) {
@@ -289,8 +282,7 @@ int run_suite(const util::CliArgs& args) {
 
   exp::ScheduleOptions schedule;
   schedule.parallel = !args.has("serial");
-  schedule.workers_per_case =
-      static_cast<int>(args.integer_or("case-workers", 0));
+  schedule.workers_per_case = args.integer_in("case-workers", 0, 0, kIntMax);
   // Bare --progress takes the default cadence; --progress SECS tunes it.
   if (args.has("progress")) {
     schedule.progress_seconds = args.real_or("progress", 2.0);
@@ -403,19 +395,6 @@ int run_suite(const util::CliArgs& args) {
     std::fprintf(stderr, "suite: %zu case(s) skipped\n", skipped);
   }
   return exp::finish(args, log, "pf_sim suite");
-}
-
-/// `pf_sim keys <records.json>`: one record key per line — the CI
-/// schema-drift gate diffs this against a committed expectation.
-int run_keys(const util::CliArgs& args) {
-  const std::string path =
-      operand_or_usage(args, 0, "records file", "keys", usage_keys);
-  if (reject_stray_arguments(args, "keys")) return 2;
-  const exp::RunDocument doc = load_run_document(path, "keys", usage_keys);
-  for (const auto& record : doc.records) {
-    std::printf("%s\n", exp::record_key(record).c_str());
-  }
-  return 0;
 }
 
 /// `pf_sim diff <baseline> <candidate>`: the trajectory regression gate.
@@ -568,7 +547,7 @@ int run_report(const util::CliArgs& args) {
   }
   const std::string path =
       operand_or_usage(args, 0, "records file", "report", usage_report);
-  const int top = static_cast<int>(args.integer_or("top", 8));
+  const int top = args.integer_in("top", 8, 0, kIntMax);
   if (reject_stray_arguments(args, "report")) return 2;
   const exp::RunDocument doc =
       load_run_document(path, "report", usage_report);
@@ -588,7 +567,7 @@ int run_report(const util::CliArgs& args) {
 int run_trace_stats(const util::CliArgs& args) {
   const std::string path = operand_or_usage(args, 0, "trace file",
                                             "trace-stats", usage_trace_stats);
-  const int top = static_cast<int>(args.integer_or("top", 8));
+  const int top = args.integer_in("top", 8, 0, kIntMax);
   if (reject_stray_arguments(args, "trace-stats")) return 2;
   std::string text;
   if (!util::read_text_file(path, text)) {
@@ -720,14 +699,12 @@ int run_trace_stats(const util::CliArgs& args) {
 
 int run(int argc, char** argv) {
   const util::CliArgs args = util::CliArgs::parse(argc, argv);
-  if (args.command() == "suite" || args.command() == "keys" ||
-      args.command() == "diff" || args.command() == "report" ||
-      args.command() == "trace-stats") {
+  if (args.command() == "suite" || args.command() == "diff" ||
+      args.command() == "report" || args.command() == "trace-stats") {
     // A malformed option value (e.g. --rtol bogus) is a bad invocation
     // (exit 2), not a drift/failure result (exit 1).
     try {
       if (args.command() == "suite") return run_suite(args);
-      if (args.command() == "keys") return run_keys(args);
       if (args.command() == "report") return run_report(args);
       if (args.command() == "trace-stats") return run_trace_stats(args);
       return run_diff(args);
@@ -739,11 +716,10 @@ int run(int argc, char** argv) {
   }
   if (!args.command().empty()) {
     std::fprintf(stderr,
-                 "pf_sim: unknown subcommand '%s' (known: suite, keys, "
-                 "diff, report, trace-stats)\n",
+                 "pf_sim: unknown subcommand '%s' (known: suite, diff, "
+                 "report, trace-stats)\n",
                  args.command().c_str());
     usage_suite(stderr);
-    usage_keys(stderr);
     usage_diff(stderr);
     usage_report(stderr);
     usage_trace_stats(stderr);
@@ -760,18 +736,20 @@ int run(int argc, char** argv) {
   // it does in suite files; --endpoints still wins when both are given.
   int spec_p = -1;
   const auto inst = topology_from_args(args, &spec_p);
-  const int p = static_cast<int>(args.integer_or(
-      "endpoints", spec_p > 0 ? spec_p : inst.default_concentration()));
+  const int p = args.integer_in(
+      "endpoints", spec_p > 0 ? spec_p : inst.default_concentration(), 1,
+      kIntMax);
   const exp::NetSetup setup = exp::make_setup(inst, p);
 
   sim::SimConfig config;
-  config.packet_size = static_cast<int>(args.integer_or("packet-size", 4));
-  config.vcs = static_cast<int>(args.integer_or("vcs", 16));
-  config.buf_per_port = static_cast<int>(args.integer_or("buf", 256));
-  config.warmup_cycles = static_cast<int>(args.integer_or("warmup", 3000));
-  config.measure_cycles = static_cast<int>(args.integer_or("measure", 4000));
-  config.drain_cycles = static_cast<int>(args.integer_or("drain", 8000));
-  config.seed = static_cast<std::uint64_t>(args.integer_or("seed", 42));
+  config.packet_size = args.integer_in("packet-size", 4, 1, kIntMax);
+  config.vcs = args.integer_in("vcs", 16, 1, kIntMax);
+  config.buf_per_port = args.integer_in("buf", 256, 1, kIntMax);
+  config.warmup_cycles = args.integer_in("warmup", 3000, 0, kIntMax);
+  config.measure_cycles = args.integer_in("measure", 4000, 0, kIntMax);
+  config.drain_cycles = args.integer_in("drain", 8000, 0, kIntMax);
+  config.seed = static_cast<std::uint64_t>(
+      args.integer_in<std::int64_t>("seed", 42, 0, kSeedMax));
   if (args.has("engine") &&
       !sim::parse_engine(args.str("engine"), config.engine)) {
     std::fprintf(stderr, "pf_sim: unknown engine '%s' (event/cycle)\n",
@@ -785,8 +763,8 @@ int run(int argc, char** argv) {
   std::unique_ptr<sim::TraceSink> trace_sink;
   if (args.has("telemetry") || args.has("trace")) {
     config.telemetry.enabled = true;
-    config.telemetry.window_cycles = static_cast<int>(
-        args.integer_or("telemetry-window", config.telemetry.window_cycles));
+    config.telemetry.window_cycles = args.integer_in(
+        "telemetry-window", config.telemetry.window_cycles, 1, kIntMax);
   }
   const std::string trace_path = args.str_or("trace", "");
   if (!trace_path.empty()) {
@@ -798,8 +776,8 @@ int run(int argc, char** argv) {
     }
     config.telemetry.trace = trace_sink.get();
     config.telemetry.trace_sample = args.real_or("trace-sample", 1.0);
-    config.telemetry.trace_seed =
-        static_cast<std::uint64_t>(args.integer_or("trace-seed", 0));
+    config.telemetry.trace_seed = static_cast<std::uint64_t>(
+        args.integer_in<std::int64_t>("trace-seed", 0, 0, kSeedMax));
   }
 
   exp::RoutingOptions routing_options;
@@ -863,8 +841,8 @@ int run(int argc, char** argv) {
     // VC-class budget and report acyclicity. Adaptive schemes are checked
     // on an idle network, which exercises their minimal branch; their
     // detour branches are the VAL/CVAL schemes, checkable directly.
-    const int classes = static_cast<int>(
-        args.integer_or("classes", routing->max_hops()));
+    const int classes =
+        args.integer_in("classes", routing->max_hops(), 1, kIntMax);
     const sim::Network idle(inst.graph,
                             std::vector<int>(inst.graph.num_vertices(), 1),
                             *routing, *pattern, sim::SimConfig{}, 0.0);
@@ -880,7 +858,7 @@ int run(int argc, char** argv) {
           }
           routing->route(idle, s, d, rng, out);
         },
-        static_cast<int>(args.integer_or("samples", 2)), classes,
+        args.integer_in("samples", 2, 1, kIntMax), classes,
         config.seed);
     const std::string cycle_note =
         check.acyclic ? ""
@@ -908,7 +886,7 @@ int run(int argc, char** argv) {
         setup, *routing, *pattern, config, label,
         args.real_or("sat-lo", 0.05), args.real_or("sat-hi", 1.0),
         args.real_or("sat-tol", 0.02),
-        static_cast<int>(args.integer_or("sat-iters", 10)));
+        args.integer_in("sat-iters", 10, 1, kIntMax));
   } else {
     std::vector<double> loads;
     if (args.has("loads")) {

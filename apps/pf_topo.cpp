@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "core/expansion.hpp"
@@ -30,6 +31,8 @@
 
 namespace pf::apps {
 namespace {
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
 
 int usage() {
   std::printf(
@@ -165,7 +168,7 @@ int cmd_stats(const util::CliArgs& args) {
 }
 
 int cmd_layout(const util::CliArgs& args) {
-  const core::PolarFly pf(static_cast<std::uint32_t>(args.integer("q")));
+  const core::PolarFly pf(args.integer_in("q", 2, kIntMax));
   const bool even = pf.q() % 2 == 0;
   const auto layout =
       even ? core::make_layout_even(pf) : core::make_layout(pf);
@@ -201,10 +204,10 @@ int cmd_layout(const util::CliArgs& args) {
 }
 
 int cmd_expand(const util::CliArgs& args) {
-  const core::PolarFly pf(static_cast<std::uint32_t>(args.integer("q")));
+  const core::PolarFly pf(args.integer_in("q", 2, kIntMax));
   const auto layout = core::make_layout(pf);
   const std::string method = args.str("method");
-  const int count = static_cast<int>(args.integer("count"));
+  const int count = args.integer_in("count", 0, kIntMax);
 
   const auto expanded =
       method == "quadric"
@@ -232,10 +235,10 @@ int cmd_expand(const util::CliArgs& args) {
 
 int cmd_route(const util::CliArgs& args) {
   const auto inst = topology_from_args(args);
-  const int src = static_cast<int>(args.integer("src"));
-  const int dst = static_cast<int>(args.integer("dst"));
+  const int src = args.integer_in("src", 0, kIntMax);
+  const int dst = args.integer_in("dst", 0, kIntMax);
   const int n = inst.graph.num_vertices();
-  if (src < 0 || dst < 0 || src >= n || dst >= n || src == dst) {
+  if (src >= n || dst >= n || src == dst) {
     throw util::CliError("--src/--dst must be distinct vertices in [0, " +
                          std::to_string(n) + ")");
   }
@@ -277,8 +280,8 @@ int cmd_route(const util::CliArgs& args) {
 }
 
 int cmd_feasible(const util::CliArgs& args) {
-  const auto max_radix =
-      static_cast<std::uint32_t>(args.integer_or("max-radix", 128));
+  const auto max_radix = static_cast<std::uint32_t>(
+      args.integer_in("max-radix", 128, 0, kIntMax));
   util::print_banner("feasible PolarFly configurations, radix <= " +
                      std::to_string(max_radix));
   util::Table table({"q", "radix", "routers", "moore_efficiency"});

@@ -6,7 +6,10 @@
 // of (and override) spec parameters.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "topo/registry.hpp"
 #include "util/cli.hpp"
@@ -25,7 +28,13 @@ inline topo::TopologyInstance topology_from_args(
   for (const char* key :
        {"q", "a", "b", "h", "p", "n", "k", "d", "lift", "arity", "levels",
         "seed"}) {
-    if (args.has(key)) spec.params[key] = args.integer(key);
+    if (!args.has(key)) continue;
+    // make_topology narrows every parameter but the 64-bit seed to int.
+    const bool seed = std::string_view(key) == "seed";
+    spec.params[key] = args.integer_in<std::int64_t>(
+        key, 0,
+        seed ? std::numeric_limits<std::int64_t>::max()
+             : std::numeric_limits<int>::max());
   }
   const int p = static_cast<int>(topo::extract_endpoints(spec));
   if (spec_endpoints != nullptr) *spec_endpoints = p;

@@ -61,8 +61,7 @@ bool values_match(double baseline, double candidate,
                   const DiffOptions& options);
 
 /// Record-by-record comparison keyed by record_key(). Duplicate keys
-/// (legal in raw bench output) match by occurrence order; unmatched
-/// occurrences land in only_in_*.
+/// match by occurrence order; unmatched occurrences land in only_in_*.
 DiffReport diff_documents(const RunDocument& baseline,
                           const RunDocument& candidate,
                           const DiffOptions& options = {});

@@ -15,7 +15,6 @@ namespace {
 using fields::Of;
 
 constexpr const char* kRunSchema = "polarfly-run/1";
-constexpr const char* kAggregateSchema = "polarfly-bench-aggregate/2";
 
 /// The document's schema string ("" when it names none), checked before
 /// anything else is read so a wrong document fails on its schema.
@@ -338,10 +337,6 @@ void print_report(const RunRecord& record, int top_links) {
   }
 }
 
-void append_record_json(util::JsonWriter& json, const RunRecord& record) {
-  write_object(json, record);
-}
-
 std::string to_json(const std::vector<RunRecord>& records,
                     const std::string& tool) {
   util::JsonWriter json;
@@ -360,11 +355,8 @@ bool write_json(const std::string& path,
   return util::write_text_file(path, document);
 }
 
-RunDocument parse_run_document(const std::string& json_text) {
-  return parse_run_document(util::json_parse(json_text));
-}
-
-RunDocument parse_run_document(const util::JsonValue& root) {
+RunDocument parse_records_document(const std::string& json_text) {
+  const util::JsonValue root = util::json_parse(json_text);
   const std::string schema = schema_of(root);
   if (schema != kRunSchema) {
     throw std::invalid_argument("document schema '" + schema + "' is not " +
@@ -373,35 +365,13 @@ RunDocument parse_run_document(const util::JsonValue& root) {
   return read_tabled<RunDocument>(root);
 }
 
-RunDocument parse_bench_aggregate(const util::JsonValue& root) {
-  RunDocument doc;
-  doc.schema = schema_of(root);
-  if (doc.schema != kAggregateSchema) {
-    throw std::invalid_argument("document schema '" + doc.schema +
-                                "' is not " + kAggregateSchema);
-  }
-  doc.tool = "bench_to_json";
-  for (const auto& run : root.at("runs").items()) {
-    for (const auto& r : run.at("records").items()) {
-      doc.records.push_back(parse_run_record(r));
-    }
-  }
-  return doc;
-}
-
-RunDocument parse_records_document(const std::string& json_text) {
-  const util::JsonValue root = util::json_parse(json_text);
-  return schema_of(root) == kAggregateSchema ? parse_bench_aggregate(root)
-                                             : parse_run_document(root);
-}
-
 RunRecord parse_run_record(const util::JsonValue& value) {
   return read_tabled<RunRecord>(value);
 }
 
 std::string record_json_line(const RunRecord& record) {
   util::JsonWriter json(0);
-  append_record_json(json, record);
+  write_object(json, record);
   return json.str();
 }
 

@@ -33,10 +33,6 @@ void print_report(const RunRecord& record, int top_links);
 std::string to_json(const std::vector<RunRecord>& records,
                     const std::string& tool);
 
-/// One record object into an open array/value position of `out` — the
-/// building block of checkpoint lines and the bench aggregator.
-void append_record_json(util::JsonWriter& out, const RunRecord& record);
-
 /// Writes to_json(records, tool) to `path` ("-" = stdout); false on I/O
 /// failure.
 bool write_json(const std::string& path,
@@ -56,27 +52,12 @@ struct RunDocument {
 /// and std::invalid_argument on a wrong schema string or a key the field
 /// table lacks; range and key errors name the key path (e.g.
 /// "records[0].points[2].cycles"), so trajectory tooling fails on drift
-/// instead of silently dropping or wrapping values. The JsonValue
-/// overload serves callers that already parsed the text (e.g. to sniff
-/// the schema).
-RunDocument parse_run_document(const std::string& json_text);
-RunDocument parse_run_document(const util::JsonValue& root);
-
-/// Flattens a polarfly-bench-aggregate/2 document (bench_to_json
-/// output) into a RunDocument: every runs[].records entry in document
-/// order, embedded "raw" foreign documents ignored. The aggregate's
-/// dedup rule guarantees unique record keys, so keys/diff/report treat
-/// BENCH_*.json trajectories exactly like run documents.
-RunDocument parse_bench_aggregate(const util::JsonValue& root);
-
-/// Parses either records-bearing schema by sniffing "schema": run
-/// documents pass through parse_run_document, bench aggregates are
-/// flattened via parse_bench_aggregate.
+/// instead of silently dropping or wrapping values.
 RunDocument parse_records_document(const std::string& json_text);
 
 /// One record (the element shape of "records") parsed back — the
-/// building block parse_run_document and checkpoint loading share.
-/// Throws like parse_run_document, with key paths relative to the record.
+/// building block of checkpoint loading. Throws like
+/// parse_records_document, with key paths relative to the record.
 RunRecord parse_run_record(const util::JsonValue& value);
 
 // ---- checkpoint journal --------------------------------------------------

@@ -105,6 +105,18 @@ class CliArgs {
     return to_integer(key, it->second);
   }
 
+  /// integer_or / integer checked to lie in [lo, hi] before it is
+  /// narrowed to T (int or std::int64_t); throws CliError naming --key and
+  /// the range, so an out-of-range value never wraps into a valid one.
+  template <class T>
+  T integer_in(const std::string& key, T fallback, T lo, T hi) const {
+    return in_range(key, integer_or(key, fallback), lo, hi);
+  }
+  template <class T>
+  T integer_in(const std::string& key, T lo, T hi) const {
+    return in_range(key, integer(key), lo, hi);
+  }
+
   double real(const std::string& key) const { return to_real(key, str(key)); }
 
   double real_or(const std::string& key, double fallback) const {
@@ -139,6 +151,16 @@ class CliArgs {
     } catch (const std::exception&) {
       throw CliError("option --" + key + " expects an integer, got '" + s + "'");
     }
+  }
+
+  template <class T>
+  static T in_range(const std::string& key, std::int64_t value, T lo, T hi) {
+    if (value < lo || value > hi) {
+      throw CliError("option --" + key + " = " + std::to_string(value) +
+                     " out of range [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+    }
+    return static_cast<T>(value);
   }
 
   static double to_real(const std::string& key, const std::string& s) {

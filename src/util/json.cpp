@@ -136,13 +136,6 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw(const std::string& json) {
-  before_value();
-  out_ += json;
-  wrote_value_ = true;
-  return *this;
-}
-
 std::string JsonWriter::escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

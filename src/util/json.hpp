@@ -36,10 +36,6 @@ class JsonWriter {
   JsonWriter& value(bool b);
   JsonWriter& null();
 
-  /// Embeds `json` verbatim as one value. The caller vouches that it is
-  /// well-formed JSON (used to aggregate already-emitted documents).
-  JsonWriter& raw(const std::string& json);
-
   /// The document so far. Well-formed once every container is closed.
   const std::string& str() const { return out_; }
 
@@ -122,8 +118,8 @@ class JsonValue {
   /// Object member lookup; throws naming the missing key.
   const JsonValue& at(const std::string& key) const;
 
-  /// Re-emits this value into a writer (used to embed foreign documents
-  /// when aggregating). Numbers keep their original lexeme's value.
+  /// Re-emits this value into a writer. Numbers keep their original
+  /// lexeme's value.
   void write(JsonWriter& out) const;
 
  private:

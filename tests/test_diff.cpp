@@ -190,7 +190,7 @@ TEST(DiffDocuments, NanRoundTripsThroughJsonAndCompares) {
   auto record = make_record("nan-case");
   record.points[1].avg_latency = kNan;
   const std::string json = exp::to_json({record}, "test_diff");
-  const exp::RunDocument parsed = exp::parse_run_document(json);
+  const exp::RunDocument parsed = exp::parse_records_document(json);
   ASSERT_EQ(parsed.records.size(), 1u);
   EXPECT_TRUE(std::isnan(parsed.records[0].points[1].avg_latency));
 
@@ -221,7 +221,7 @@ TEST(DiffDocuments, MissingOptionalFieldsUseDefaults) {
       "perf": {"sim_cycles": 800, "wall_seconds": 0.1,
                "cycles_per_sec": 8000, "mean_hop_count": 2,
                "peak_vc_occupancy": 3}}]})";
-  const exp::RunDocument doc = exp::parse_run_document(minimal);
+  const exp::RunDocument doc = exp::parse_records_document(minimal);
   EXPECT_EQ(doc.records[0].saturation_estimate, 0.0);
   EXPECT_EQ(doc.records[0].pattern_seed, 0u);
   EXPECT_TRUE(exp::diff_documents(doc, doc, exp::DiffOptions{}).clean());

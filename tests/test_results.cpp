@@ -54,7 +54,7 @@ TEST(RunRecordTable, CommittedDocumentsRoundTripByteForByte) {
   ASSERT_GE(files.size(), 8u);  // 4 suite baselines + 4 bench references
   for (const auto& path : files) {
     const std::string text = read_file(path);
-    const exp::RunDocument doc = exp::parse_run_document(text);
+    const exp::RunDocument doc = exp::parse_records_document(text);
     EXPECT_FALSE(doc.records.empty()) << path;
     EXPECT_EQ(exp::to_json(doc.records, doc.tool) + "\n", text) << path;
   }
@@ -125,7 +125,7 @@ exp::RunRecord full_record() {
 TEST(RunRecordTable, EveryFieldSurvivesWriteThenRead) {
   const exp::RunRecord record = full_record();
   const exp::RunDocument doc =
-      exp::parse_run_document(exp::to_json({record}, "test_results"));
+      exp::parse_records_document(exp::to_json({record}, "test_results"));
   ASSERT_EQ(doc.records.size(), 1u);
   EXPECT_TRUE(doc.records[0] == record) << exp::to_json(doc.records, "back");
   EXPECT_TRUE(exp::parse_run_record(util::json_parse(
@@ -139,7 +139,7 @@ std::string refusal(const std::string& from, const std::string& to) {
   EXPECT_NE(at, std::string::npos) << from;
   text.replace(at, from.size(), to);
   try {
-    exp::parse_run_document(text);
+    exp::parse_records_document(text);
   } catch (const std::exception& error) {
     return error.what();
   }

@@ -503,7 +503,7 @@ TEST(SuiteRunner, MatchesDirectEngineOnSmokeSuite) {
 
   // The emitted document parses back with every field intact.
   const std::string json = exp::to_json(log.records(), "test_suite");
-  const exp::RunDocument doc = exp::parse_run_document(json);
+  const exp::RunDocument doc = exp::parse_records_document(json);
   EXPECT_EQ(doc.tool, "test_suite");
   ASSERT_EQ(doc.records.size(), log.records().size());
   for (std::size_t i = 0; i < doc.records.size(); ++i) {

@@ -2,9 +2,8 @@
 // reference, log-histogram bucketing and merge algebra, the
 // no-perturbation guarantee (telemetry on == telemetry off in every
 // measured field), serial-vs-sharded bit-identity of merged telemetry,
-// JSON round-trips through the diff gate, trace sampling reproducibility
-// by seed, and bench-aggregate documents flowing through the same
-// record tooling.
+// JSON round-trips through the diff gate, and trace sampling
+// reproducibility by seed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -276,7 +275,7 @@ TEST(Telemetry, SurvivesTheJsonRoundTrip) {
   log.add(exp::run_sweep(registry.make(quick_spec(true)), {0.3, 0.5}));
 
   const std::string json = exp::to_json(log.records(), "test_telemetry");
-  const exp::RunDocument doc = exp::parse_run_document(json);
+  const exp::RunDocument doc = exp::parse_records_document(json);
   ASSERT_EQ(doc.records.size(), 1u);
   ASSERT_EQ(doc.records[0].points.size(), 2u);
   EXPECT_TRUE(doc.records[0].points[0].telemetry.present);
@@ -344,33 +343,6 @@ TEST(Trace, ReproducibleBySeedAndSampled) {
   const std::string full = run_trace(1.0, 7);
   EXPECT_GT(full.size(), a.size());
   EXPECT_TRUE(run_trace(0.0, 7).empty());
-}
-
-// ---- bench aggregates through the record tooling -------------------------
-
-TEST(Results, BenchAggregatesParseLikeRunDocuments) {
-  auto& registry = exp::ScenarioRegistry::shared();
-  const exp::RunRecord record =
-      exp::run_sweep(registry.make(quick_spec(true)), {0.3});
-  const std::string aggregate =
-      "{\"schema\": \"polarfly-bench-aggregate/2\", \"runs\": "
-      "[{\"file\": \"a.json\", \"tool\": \"test\", \"records\": [" +
-      exp::record_json_line(record) +
-      "]}], \"raw\": []}";
-  const exp::RunDocument doc = exp::parse_records_document(aggregate);
-  EXPECT_EQ(doc.schema, "polarfly-bench-aggregate/2");
-  ASSERT_EQ(doc.records.size(), 1u);
-  EXPECT_EQ(exp::record_key(doc.records[0]), exp::record_key(record));
-  EXPECT_TRUE(doc.records[0].telemetry.present);
-
-  // And the flattened records diff clean against the originals, so
-  // BENCH_*.json trajectories feed the same regression gate.
-  exp::RunDocument original;
-  original.records.push_back(record);
-  exp::DiffOptions exact;
-  exact.rtol = 0.0;
-  exact.atol = 0.0;
-  EXPECT_TRUE(exp::diff_documents(original, doc, exact).clean());
 }
 
 }  // namespace
