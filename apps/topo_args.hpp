@@ -36,7 +36,7 @@ inline topo::TopologyInstance topology_from_args(
         seed ? std::numeric_limits<std::int64_t>::max()
              : std::numeric_limits<int>::max());
   }
-  const int p = static_cast<int>(topo::extract_endpoints(spec));
+  const int p = topo::extract_endpoints(spec);
   if (spec_endpoints != nullptr) *spec_endpoints = p;
   return topo::make_topology(spec.family, spec.params);
 }

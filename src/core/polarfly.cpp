@@ -116,17 +116,6 @@ std::vector<int> PolarFly::vertices_of_class(VertexClass c) const {
   return result;
 }
 
-std::uint32_t PolarFly::dot(int u, int v) const {
-  const auto& a = points_[static_cast<std::size_t>(u)];
-  const auto& b = points_[static_cast<std::size_t>(v)];
-  std::uint32_t sum = 0;
-  for (int k = 0; k < 3; ++k) {
-    sum = field_.add(sum, field_.mul(a[static_cast<std::size_t>(k)],
-                                     b[static_cast<std::size_t>(k)]));
-  }
-  return sum;
-}
-
 int PolarFly::intermediate(int s, int d) const {
   if (s == d) throw std::invalid_argument("intermediate needs s != d");
   const auto& a = points_[static_cast<std::size_t>(s)];

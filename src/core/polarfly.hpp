@@ -60,8 +60,17 @@ class PolarFly {
   /// a quadric adjacent to the other.
   int intermediate(int s, int d) const;
 
-  /// u . v in GF(q) — 0 means adjacent (or u == v on the conic).
-  std::uint32_t dot(int u, int v) const;
+  /// u . v in GF(q) — 0 means adjacent (or u == v on the conic). Inline:
+  /// the algebraic distance oracle calls it on every routing decision.
+  std::uint32_t dot(int u, int v) const {
+    const auto& a = points_[static_cast<std::size_t>(u)];
+    const auto& b = points_[static_cast<std::size_t>(v)];
+    std::uint32_t sum = 0;
+    for (std::size_t k = 0; k < 3; ++k) {
+      sum = field_.add(sum, field_.mul(a[k], b[k]));
+    }
+    return sum;
+  }
 
  private:
   std::array<std::uint32_t, 3> normalize(

@@ -401,8 +401,8 @@ NetSetup make_setup(const topo::TopologyInstance& inst, int p,
   std::snprintf(fp, sizeof(fp), "#%016llx",
                 static_cast<unsigned long long>(
                     graph_fingerprint(setup.graph)));
-  setup.oracle =
-      ScenarioRegistry::shared().oracle(inst.label + fp, setup.graph);
+  setup.oracle = ScenarioRegistry::shared().oracle(inst.label + fp,
+                                                   setup.graph, inst.polarfly);
   return setup;
 }
 
@@ -491,10 +491,10 @@ std::shared_ptr<const NetSetup> ScenarioRegistry::topology(
 
   // Build outside the lock (construction may parallel_for internally);
   // a racing duplicate build is wasted work, not an error.
-  const std::int64_t p = topo::extract_endpoints(parsed);
+  const int p = topo::extract_endpoints(parsed);
   const auto inst = topo::make_topology(parsed.family, parsed.params);
-  auto setup = std::make_shared<NetSetup>(make_setup(
-      inst, static_cast<int>(p > 0 ? p : inst.default_concentration())));
+  auto setup = std::make_shared<NetSetup>(
+      make_setup(inst, p > 0 ? p : inst.default_concentration()));
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = topologies_.emplace(key, std::move(setup));
@@ -555,13 +555,15 @@ std::size_t ScenarioRegistry::evict_damaged() {
 }
 
 std::shared_ptr<const sim::DistanceOracle> ScenarioRegistry::oracle(
-    const std::string& key, const graph::Graph& g) {
+    const std::string& key, const graph::Graph& g,
+    std::shared_ptr<const core::PolarFly> pf) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = oracles_.find(key);
     if (it != oracles_.end()) return it->second;
   }
-  auto oracle = std::make_shared<const sim::DistanceOracle>(g);
+  auto oracle = pf ? std::make_shared<const sim::DistanceOracle>(std::move(pf))
+                   : std::make_shared<const sim::DistanceOracle>(g);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = oracles_.emplace(key, std::move(oracle));
   return it->second;

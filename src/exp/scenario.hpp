@@ -3,9 +3,10 @@
 // This header owns the NetSetup bundle, the make_*_setup topology
 // factories, and the string-keyed routing / traffic factories, plus a
 // ScenarioRegistry that caches topologies (and their DistanceOracles, the
-// expensive part) by spec string so every sweep point and every routing
-// over the same topology shares one oracle, and compiled workloads so
-// every routing over the same workload shares one send table.
+// expensive part off intact PolarFly) by spec string so every sweep point
+// and every routing over the same topology shares one oracle, and
+// compiled workloads so every routing over the same workload shares one
+// send table.
 #pragma once
 
 #include <map>
@@ -27,7 +28,8 @@ namespace pf::exp {
 
 /// One simulated network: topology graph + endpoint placement + the state
 /// routing algorithms need. Oracle and family handles are shared so many
-/// scenarios over the same topology cost one all-pairs BFS.
+/// scenarios over the same topology cost one all-pairs BFS (none on
+/// intact PolarFly, whose oracle reads the `polarfly` handle).
 struct NetSetup {
   std::string name;
   graph::Graph graph;
@@ -78,7 +80,8 @@ bool pattern_uses_seed(const std::string& kind);
 // ---- topology factories (Tab. V and friends) ----------------------------
 
 /// Wraps a registry TopologyInstance: p endpoints per router (fat trees:
-/// per leaf switch), oracle shared through the ScenarioRegistry cache.
+/// per leaf switch), oracle shared through the ScenarioRegistry cache
+/// (the algebraic one when the instance carries a PolarFly).
 NetSetup make_setup(const topo::TopologyInstance& inst, int p,
                     const std::string& name = "");
 
@@ -236,10 +239,12 @@ class ScenarioRegistry {
   std::shared_ptr<const NetSetup> topology(const std::string& spec,
                                            const FailureSpec& failure);
 
-  /// The oracle for `key`, computed from `g` on first use. Shared across
-  /// all sweep points and routings over the same topology.
-  std::shared_ptr<const sim::DistanceOracle> oracle(const std::string& key,
-                                                    const graph::Graph& g);
+  /// The oracle for `key`, made on first use: from `pf`'s algebra when
+  /// given (intact ER_q, no matrix), else by an all-pairs BFS of `g`.
+  /// Shared across all sweep points and routings over the same topology.
+  std::shared_ptr<const sim::DistanceOracle> oracle(
+      const std::string& key, const graph::Graph& g,
+      std::shared_ptr<const core::PolarFly> pf = nullptr);
 
   Scenario make(const ScenarioSpec& spec);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/algos.hpp"
 #include "util/parallel.hpp"
@@ -22,6 +23,11 @@ DistanceOracle::DistanceOracle(const graph::Graph& g, OracleMode mode)
     dist8_.shrink_to_fit();
     build(g);
   }
+}
+
+DistanceOracle::DistanceOracle(std::shared_ptr<const core::PolarFly> pf)
+    : n_(pf ? pf->num_vertices() : 0), diameter_(2), pf_(std::move(pf)) {
+  if (!pf_) throw std::invalid_argument("DistanceOracle needs a PolarFly");
 }
 
 void DistanceOracle::build(const graph::Graph& g) {
@@ -84,6 +90,18 @@ void sample_descent(const graph::Graph& g, const Dist* to_d, int s, int d,
 void DistanceOracle::sample_min_path(const graph::Graph& g, int s, int d,
                                      util::Rng& rng, Route& out) const {
   if (out.len == 0 || out.back() != s) out.push(s);
+  if (pf_) {
+    // On ER_q every hop has exactly one descending neighbor, so the
+    // descent below would draw rng.below(1) -- one next() -- per hop.
+    if (s == d) return;
+    if (pf_->dot(s, d) != 0) {
+      rng.next();
+      out.push(pf_->intermediate(s, d));
+    }
+    rng.next();
+    out.push(d);
+    return;
+  }
   // BFS distances on an undirected graph are symmetric, so all lookups
   // can read along row d — contiguous and cache-resident for the whole
   // descent, unlike one scattered row access per neighbor.

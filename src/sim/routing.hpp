@@ -1,7 +1,7 @@
-// Routing algorithms over the simulator: a precomputed all-pairs
-// DistanceOracle drives table-based minimal routing and the Valiant /
-// UGAL family; FatTreeNcaRouting and AlgebraicPolarFlyRouting are the
-// two table-free structural schemes.
+// Routing algorithms over the simulator: a DistanceOracle (an all-pairs
+// BFS matrix, or ER_q's algebra on intact PolarFly) drives minimal
+// routing and the Valiant / UGAL family; FatTreeNcaRouting and
+// AlgebraicPolarFlyRouting are the two table-free structural schemes.
 #pragma once
 
 #include <cstdint>
@@ -24,20 +24,31 @@ namespace pf::sim {
 /// committed baseline — is bit-identical regardless of the choice.
 enum class OracleMode { Auto, Full, Compact };
 
-/// All-pairs hop distances (BFS from every vertex, parallelized), plus
-/// uniform sampling of minimal paths.
+/// Hop distances plus uniform sampling of minimal paths, in one of two
+/// forms. The graph form runs a BFS from every vertex into an all-pairs
+/// matrix and serves any topology, damaged or not. The PolarFly form
+/// answers for intact ER_q from its algebra (SS IV-D) and holds no
+/// matrix. Both give the same distances, routes and RNG draws on ER_q.
 class DistanceOracle {
  public:
   /// Auto mode: graphs with >= kCompactThreshold routers store int8
-  /// distances (PF q=31's ~1k and q=47's ~2.2k routers halve their
-  /// quadratic matrices); smaller graphs keep int16. A compact build
+  /// distances (the ~1k-router Slim Fly, Dragonfly and Jellyfish setups
+  /// of the full-scale suite halve their quadratic matrices); smaller
+  /// graphs keep int16. A compact build
   /// whose diameter overflows int8 transparently rebuilds as Full.
   static constexpr int kCompactThreshold = 512;
 
   explicit DistanceOracle(const graph::Graph& g,
                           OracleMode mode = OracleMode::Auto);
 
+  /// Intact ER_q: distinct u, v are adjacent iff u . v = 0, and a
+  /// non-adjacent pair's only common neighbor is their cross product, so
+  /// diameter() == 2 and matrix_bytes() == 0. Shares ownership of `pf`:
+  /// a cached oracle cannot outlive the PolarFly it reads.
+  explicit DistanceOracle(std::shared_ptr<const core::PolarFly> pf);
+
   int distance(int u, int v) const {
+    if (pf_) return u == v ? 0 : pf_->dot(u, v) == 0 ? 1 : 2;
     const std::size_t i =
         static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +
         static_cast<std::size_t>(v);
@@ -68,6 +79,7 @@ class DistanceOracle {
   bool compact_ = false;
   std::vector<std::int16_t> dist_;  ///< -1 when unreachable (full mode)
   std::vector<std::int8_t> dist8_;  ///< same contract (compact mode)
+  std::shared_ptr<const core::PolarFly> pf_;  ///< set: the ER_q form
 };
 
 class RoutingAlgorithm {

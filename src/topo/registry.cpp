@@ -1,7 +1,9 @@
 #include "topo/registry.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/expansion.hpp"
 #include "core/layout.hpp"
@@ -16,20 +18,37 @@
 namespace pf::topo {
 namespace {
 
-std::int64_t need(const TopologyParams& params, const std::string& key,
-                  const std::string& family) {
+/// `value` of parameter `key`, checked to lie in [0, T's maximum] before
+/// the caller narrows it: a spec string carries int64, and an unchecked
+/// cast builds another topology (pf:q=4294967303 wraps to ER_7).
+template <typename T>
+T narrow(std::int64_t value, const std::string& key,
+         const std::string& family) {
+  if (value < 0 || !std::in_range<T>(value)) {
+    throw std::invalid_argument(
+        "topology " + family + ": parameter " + key + "=" +
+        std::to_string(value) + " is out of range [0, " +
+        std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(value);
+}
+
+template <typename T = int>
+T need(const TopologyParams& params, const std::string& key,
+       const std::string& family) {
   const auto it = params.find(key);
   if (it == params.end()) {
     throw std::invalid_argument("topology " + family +
                                 " needs parameter --" + key);
   }
-  return it->second;
+  return narrow<T>(it->second, key, family);
 }
 
-std::int64_t get_or(const TopologyParams& params, const std::string& key,
-                    std::int64_t fallback) {
+template <typename T = int>
+T get_or(const TopologyParams& params, const std::string& key,
+         const std::string& family, T fallback) {
   const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
+  return it == params.end() ? fallback : narrow<T>(it->second, key, family);
 }
 
 }  // namespace
@@ -69,8 +88,8 @@ TopologyInstance make_topology(const std::string& family,
     // clusters, quadric=1 for quadric-cluster replication (diameter
     // stays 2), quadric=0 for fan-cluster replication (diameter 3).
     const auto q = static_cast<std::uint32_t>(need(params, "q", family));
-    const int n = static_cast<int>(need(params, "n", family));
-    const bool quadric = get_or(params, "quadric", 0) != 0;
+    const int n = need(params, "n", family);
+    const bool quadric = get_or(params, "quadric", family, 0) != 0;
     const core::PolarFly pf(q);
     const core::Layout layout = core::make_layout(pf);
     const auto expanded = quadric ? core::expand_quadric(pf, layout, n)
@@ -88,9 +107,9 @@ TopologyInstance make_topology(const std::string& family,
     inst.graph = sf.graph();
     inst.radix = sf.radix();
   } else if (family == "dragonfly" || family == "df") {
-    const int a = static_cast<int>(need(params, "a", family));
-    const int h = static_cast<int>(need(params, "h", family));
-    const int p = static_cast<int>(get_or(params, "p", (h + 1) / 2 + 1));
+    const int a = need(params, "a", family);
+    const int h = need(params, "h", family);
+    const int p = get_or(params, "p", family, (h + 1) / 2 + 1);
     const Dragonfly df(a, h, p);
     inst.family = "dragonfly";
     inst.label = "Dragonfly(" + std::to_string(a) + "," + std::to_string(h) +
@@ -98,8 +117,8 @@ TopologyInstance make_topology(const std::string& family,
     inst.graph = df.graph();
     inst.radix = df.radix();
   } else if (family == "fattree" || family == "ft") {
-    const int levels = static_cast<int>(get_or(params, "levels", 3));
-    const int arity = static_cast<int>(need(params, "arity", family));
+    const int levels = get_or(params, "levels", family, 3);
+    const int arity = need(params, "arity", family);
     auto ft = std::make_shared<FatTree>(levels, arity);
     inst.family = "fattree";
     inst.label = std::to_string(levels) + "-level fat tree (k=" +
@@ -108,10 +127,10 @@ TopologyInstance make_topology(const std::string& family,
     inst.radix = ft->radix();
     inst.fattree = std::move(ft);
   } else if (family == "jellyfish" || family == "jf") {
-    const int n = static_cast<int>(need(params, "n", family));
-    const int k = static_cast<int>(need(params, "k", family));
-    const auto seed =
-        static_cast<std::uint64_t>(get_or(params, "seed", 0xf15eULL));
+    const int n = need(params, "n", family);
+    const int k = need(params, "k", family);
+    const auto seed = static_cast<std::uint64_t>(
+        get_or<std::int64_t>(params, "seed", family, 0xf15e));
     const Jellyfish jf(n, k, seed);
     inst.family = "jellyfish";
     inst.label = "Jellyfish(" + std::to_string(n) + "," + std::to_string(k) +
@@ -119,21 +138,21 @@ TopologyInstance make_topology(const std::string& family,
     inst.graph = jf.graph();
     inst.radix = jf.radix();
   } else if (family == "hyperx") {
-    const int a = static_cast<int>(need(params, "a", family));
-    const int b = static_cast<int>(get_or(params, "b", a));
+    const int a = need(params, "a", family);
+    const int b = get_or(params, "b", family, a);
     const HyperX hx(a, b);
     inst.label = "HyperX K" + std::to_string(a) + "xK" + std::to_string(b);
     inst.graph = hx.graph();
     inst.radix = hx.radix();
   } else if (family == "torus") {
-    const int k = static_cast<int>(need(params, "k", family));
-    const int d = static_cast<int>(need(params, "d", family));
+    const int k = need(params, "k", family);
+    const int d = need(params, "d", family);
     const Torus torus(k, d);
     inst.label = std::to_string(k) + "-ary " + std::to_string(d) + "-torus";
     inst.graph = torus.graph();
     inst.radix = torus.radix();
   } else if (family == "hypercube") {
-    const int d = static_cast<int>(need(params, "d", family));
+    const int d = need(params, "d", family);
     const Hypercube cube(d);
     inst.label = std::to_string(d) + "-cube";
     inst.graph = cube.graph();
@@ -218,11 +237,12 @@ std::string canonical_spec(const TopologySpec& spec) {
   return key;
 }
 
-std::int64_t extract_endpoints(TopologySpec& spec) {
+int extract_endpoints(TopologySpec& spec) {
   const auto it = spec.params.find("p");
   if (it == spec.params.end()) return -1;
-  const std::int64_t p = it->second;
-  if (canonical_family(spec.family) != "dragonfly") spec.params.erase(it);
+  const std::string family = canonical_family(spec.family);
+  const int p = narrow<int>(it->second, "p", family);
+  if (family != "dragonfly") spec.params.erase(it);
   return p;
 }
 

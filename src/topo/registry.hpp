@@ -38,7 +38,8 @@ struct TopologyInstance {
 };
 
 /// Constructs a topology by family name. Throws std::invalid_argument on
-/// unknown families, missing parameters, or infeasible sizes.
+/// unknown families, missing parameters, a parameter outside [0, INT_MAX]
+/// (a jellyfish seed: [0, INT64_MAX]), or infeasible sizes.
 ///
 /// Families (parameters): polarfly|pf (q), polarfly-exp|pfx
 /// (q, n [, quadric]), slimfly|sf (q), dragonfly|df (a, h, p), fattree|ft
@@ -77,12 +78,13 @@ TopologySpec parse_topology_spec(const std::string& spec);
 std::string canonical_spec(const TopologySpec& spec);
 
 /// Removes the spec's `p=` parameter — endpoints per router, the
-/// scenario/suite meaning — and returns it (-1 when unset), leaving the
+/// scenario/suite meaning — and returns it (-1 when unset; a value
+/// outside [0, INT_MAX] throws, as for every parameter), leaving the
 /// structural parameters behind for make_topology. Dragonfly keeps `p`
 /// in place: there it is structural AND the endpoint count. The one
 /// place this convention lives; pf_topo, pf_sim and the scenario
 /// registry all go through it.
-std::int64_t extract_endpoints(TopologySpec& spec);
+int extract_endpoints(TopologySpec& spec);
 
 /// Parse-and-construct convenience over parse_topology_spec.
 TopologyInstance make_topology(const std::string& spec);

@@ -44,6 +44,25 @@ TEST(ScenarioRegistry, CachesTopologiesAndOracles) {
                std::invalid_argument);
 }
 
+TEST(ScenarioRegistry, OnlyIntactPolarFlyRoutesFromTheAlgebra) {
+  auto& registry = exp::ScenarioRegistry::shared();
+  // Paper scale: the q=47 setup holds no distance matrix.
+  const auto pf47 = registry.topology("pf:q=47,p=24");
+  EXPECT_EQ(pf47->oracle->matrix_bytes(), 0u);
+  EXPECT_EQ(pf47->oracle->diameter(), 2);
+  // Damaged PolarFly, expanded PolarFly and every other family keep the
+  // all-pairs BFS matrix.
+  exp::FailureSpec failure;
+  failure.link_rate = 0.05;
+  failure.seed = 7;
+  for (const auto& setup :
+       {registry.topology("pf:q=7,p=4", failure),
+        registry.topology("pfx:q=5,n=1,quadric=1,p=3"),
+        registry.topology("sf:q=5,p=4")}) {
+    EXPECT_GT(setup->oracle->matrix_bytes(), 0u) << setup->name;
+  }
+}
+
 TEST(ScenarioRegistry, MakeResolvesSpecs) {
   exp::ScenarioSpec spec;
   spec.topology = "pf:q=5,p=3";

@@ -2,6 +2,9 @@
 // instances carry their structured handles.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "graph/algos.hpp"
 #include "topo/registry.hpp"
 
@@ -72,6 +75,41 @@ TEST(Registry, Errors) {
                std::invalid_argument);
   EXPECT_THROW(make_topology("polarfly", {{"q", 6}}),
                std::invalid_argument);
+}
+
+/// The message make_topology(spec) throws, or "" when it builds.
+std::string spec_error(const std::string& spec) {
+  try {
+    make_topology(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Registry, SpecParametersAreRangeChecked) {
+  // A spec value that would wrap when narrowed is refused, naming the
+  // family and key: q=4294967303 is 2^32 + 7, which a bare uint32 cast
+  // turned into ER_7.
+  EXPECT_EQ(spec_error("pf:q=4294967303"),
+            "topology polarfly: parameter q=4294967303 is out of range "
+            "[0, 2147483647]");
+  EXPECT_EQ(spec_error("pf:q=7,p=4294967297"),
+            "topology polarfly: parameter p=4294967297 is out of range "
+            "[0, 2147483647]");
+  EXPECT_NE(spec_error("df:a=4,h=2,p=-1").find("dragonfly: parameter p=-1"),
+            std::string::npos);
+  EXPECT_NE(spec_error("pfx:q=5,n=1,quadric=8589934593")
+                .find("polarfly-exp: parameter quadric="),
+            std::string::npos);
+  EXPECT_NE(spec_error("hyperx:a=3,b=-4294967293")
+                .find("hyperx: parameter b="),
+            std::string::npos);
+  EXPECT_NE(spec_error("jf:n=20,k=4,seed=-1").find("jellyfish: parameter seed"),
+            std::string::npos);
+  // In range: the same families still build.
+  EXPECT_EQ(spec_error("pf:q=7,p=4"), "");
+  EXPECT_EQ(spec_error("jf:n=20,k=4,seed=9223372036854775807"), "");
 }
 
 TEST(Registry, UsageListsEveryFamily) {

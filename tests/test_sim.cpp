@@ -3,6 +3,7 @@
 // latency/throughput sanity at low load.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <set>
 
@@ -208,28 +209,78 @@ void fnv1a(std::uint64_t& h, std::uint64_t value) {
   }
 }
 
+/// FNV-1a of every route VAL, CVAL, UGAL and UGAL-PF draw over all
+/// ordered router pairs, then of the RNG's next draw (its final state),
+/// recorded before route() and route_degraded() shared one body. The
+/// degraded view isolates router 5 and drops three links of router 1,
+/// so unreachable destinations and intermediates are pinned too. Rows:
+/// PolarFly q=7, then the 5x5 torus.
+struct AdaptivePin {
+  std::uint64_t intact[4];
+  std::uint64_t degraded[4];
+};
+constexpr AdaptivePin kAdaptivePins[] = {
+    {{0x6102810ae3164d44ULL, 0xce35cf33851f871bULL, 0xda1b7d7d8e5b17bcULL,
+      0xeb74c9b12fa55ae4ULL},
+     {0x1c4f842d8caac1adULL, 0x6bbaca564ea5f773ULL, 0x97b12dd1daa49142ULL,
+      0xa88532ca9d01ff00ULL}},
+    {{0x5333ec817ff0a7a4ULL, 0x65a8c38882f2d5ceULL, 0xea2d0d23a347ace3ULL,
+      0xa7b1dc5c3f766becULL},
+     {0x4e269ae2e68ec212ULL, 0xe0665c70e3321569ULL, 0xb653566dc8cc2fdbULL,
+      0x3eb4d4c70719afe4ULL}},
+};
+
+/// One kAdaptivePins row half for (g, oracle): the hashes of VAL, CVAL,
+/// UGAL and UGAL-PF, drawn through route() when `view` is null, else
+/// through route_degraded() on (`view`, `view_oracle`).
+std::array<std::uint64_t, 4> adaptive_route_hashes(
+    const graph::Graph& g, const sim::DistanceOracle& oracle,
+    const graph::Graph* view = nullptr,
+    const sim::DistanceOracle* view_oracle = nullptr) {
+  const int n = g.num_vertices();
+  const auto endpoints = sim::uniform_endpoints(n, 2);
+  const sim::UniformTraffic pattern(sim::terminal_routers(endpoints));
+  const sim::MinimalRouting minimal(g, oracle);
+  const sim::Network idle(g, endpoints, minimal, pattern, sim::SimConfig{},
+                          0.0);
+  const sim::ValiantRouting val(g, oracle);
+  const sim::CompactValiantRouting cval(g, oracle);
+  const sim::UgalRouting ugal(g, oracle, false);
+  const sim::UgalRouting ugal_pf(g, oracle, true);
+  const sim::RoutingAlgorithm* schemes[] = {&val, &cval, &ugal, &ugal_pf};
+  std::array<std::uint64_t, 4> hashes{};
+  for (std::size_t k = 0; k < 4; ++k) {
+    util::Rng rng(779712);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int s = 0; s < n; ++s) {
+      for (int d = 0; d < n; ++d) {
+        if (s == d) continue;
+        sim::Route route;
+        if (view != nullptr) {
+          schemes[k]->route_degraded(idle, *view, *view_oracle, s, d, rng,
+                                     route);
+        } else {
+          schemes[k]->route(idle, s, d, rng, route);
+        }
+        fnv1a(h, static_cast<std::uint64_t>(route.len));
+        for (int i = 0; i < route.len; ++i) {
+          fnv1a(h, static_cast<std::uint64_t>(
+                       route.hops[static_cast<std::size_t>(i)]));
+        }
+      }
+    }
+    fnv1a(h, rng.next());
+    hashes[k] = h;
+  }
+  return hashes;
+}
+
+constexpr const char* kAdaptiveSchemes[] = {"VAL", "CVAL", "UGAL",
+                                            "UGAL-PF"};
+
 TEST(Routing, AdaptiveRoutesArePinned) {
-  // FNV-1a of every route VAL, CVAL, UGAL and UGAL-PF draw over all
-  // ordered router pairs, then of the RNG's next draw (its final state),
-  // recorded before route() and route_degraded() shared one body. The
-  // degraded view isolates router 5 and drops three links of router 1,
-  // so unreachable destinations and intermediates are pinned too.
   const core::PolarFly pf7(7);
   const topo::Torus torus(5, 2);
-  struct Pin {
-    std::uint64_t intact[4];
-    std::uint64_t degraded[4];
-  };
-  const Pin pins[] = {
-      {{0x6102810ae3164d44ULL, 0xce35cf33851f871bULL, 0xda1b7d7d8e5b17bcULL,
-        0xeb74c9b12fa55ae4ULL},
-       {0x1c4f842d8caac1adULL, 0x6bbaca564ea5f773ULL, 0x97b12dd1daa49142ULL,
-        0xa88532ca9d01ff00ULL}},
-      {{0x5333ec817ff0a7a4ULL, 0x65a8c38882f2d5ceULL, 0xea2d0d23a347ace3ULL,
-        0xa7b1dc5c3f766becULL},
-       {0x4e269ae2e68ec212ULL, 0xe0665c70e3321569ULL, 0xb653566dc8cc2fdbULL,
-        0x3eb4d4c70719afe4ULL}},
-  };
   const graph::Graph* graphs[] = {&pf7.graph(), &torus.graph()};
   for (std::size_t gi = 0; gi < 2; ++gi) {
     const graph::Graph& g = *graphs[gi];
@@ -249,44 +300,100 @@ TEST(Routing, AdaptiveRoutesArePinned) {
     const graph::Graph view = graph::Graph::from_edges(n, std::move(live));
     const sim::DistanceOracle oracle(g);
     const sim::DistanceOracle view_oracle(view);
-    const auto endpoints = sim::uniform_endpoints(n, 2);
-    const sim::UniformTraffic pattern(sim::terminal_routers(endpoints));
-    const sim::MinimalRouting minimal(g, oracle);
-    const sim::Network idle(g, endpoints, minimal, pattern, sim::SimConfig{},
-                            0.0);
-    const sim::ValiantRouting val(g, oracle);
-    const sim::CompactValiantRouting cval(g, oracle);
-    const sim::UgalRouting ugal(g, oracle, false);
-    const sim::UgalRouting ugal_pf(g, oracle, true);
-    const sim::RoutingAlgorithm* schemes[] = {&val, &cval, &ugal, &ugal_pf};
+    const auto intact = adaptive_route_hashes(g, oracle);
+    const auto degraded =
+        adaptive_route_hashes(g, oracle, &view, &view_oracle);
     for (std::size_t k = 0; k < 4; ++k) {
-      for (const bool degraded : {false, true}) {
-        util::Rng rng(779712);
-        std::uint64_t h = 0xcbf29ce484222325ULL;
-        for (int s = 0; s < n; ++s) {
-          for (int d = 0; d < n; ++d) {
-            if (s == d) continue;
-            sim::Route route;
-            if (degraded) {
-              schemes[k]->route_degraded(idle, view, view_oracle, s, d, rng,
-                                         route);
-            } else {
-              schemes[k]->route(idle, s, d, rng, route);
-            }
-            fnv1a(h, static_cast<std::uint64_t>(route.len));
-            for (int i = 0; i < route.len; ++i) {
-              fnv1a(h, static_cast<std::uint64_t>(
-                           route.hops[static_cast<std::size_t>(i)]));
-            }
-          }
+      EXPECT_EQ(intact[k], kAdaptivePins[gi].intact[k])
+          << kAdaptiveSchemes[k] << " graph " << gi << " intact 0x"
+          << std::hex << intact[k];
+      EXPECT_EQ(degraded[k], kAdaptivePins[gi].degraded[k])
+          << kAdaptiveSchemes[k] << " graph " << gi << " degraded 0x"
+          << std::hex << degraded[k];
+    }
+  }
+}
+
+// ---- the algebraic ER_q oracle ---------------------------------------------
+
+TEST(PfOracle, MatchesBfsEverywhere) {
+  // Prime and prime-power fields, even q, and quadric endpoints: over
+  // every ordered pair the algebraic oracle gives the BFS matrix's
+  // distance, the same sampled minimal route, and leaves the RNG in the
+  // same state (compared through its next draw).
+  for (const std::uint32_t q : {2u, 3u, 4u, 5u, 7u, 8u, 9u, 11u, 13u}) {
+    const auto pf = std::make_shared<const core::PolarFly>(q);
+    const sim::DistanceOracle algebraic(pf);
+    const sim::DistanceOracle bfs(pf->graph());
+    EXPECT_EQ(algebraic.matrix_bytes(), 0u) << "q=" << q;
+    EXPECT_GT(bfs.matrix_bytes(), 0u) << "q=" << q;
+    EXPECT_EQ(algebraic.diameter(), bfs.diameter()) << "q=" << q;
+    util::Rng rng_algebraic(q);
+    util::Rng rng_bfs(q);
+    const int n = pf->num_vertices();
+    for (int s = 0; s < n; ++s) {
+      for (int d = 0; d < n; ++d) {
+        ASSERT_EQ(algebraic.distance(s, d), bfs.distance(s, d))
+            << "q=" << q << " s=" << s << " d=" << d;
+        sim::Route a;
+        sim::Route b;
+        algebraic.sample_min_path(pf->graph(), s, d, rng_algebraic, a);
+        bfs.sample_min_path(pf->graph(), s, d, rng_bfs, b);
+        ASSERT_EQ(a.len, b.len) << "q=" << q << " s=" << s << " d=" << d;
+        for (int h = 0; h < a.len; ++h) {
+          ASSERT_EQ(a.hops[static_cast<std::size_t>(h)],
+                    b.hops[static_cast<std::size_t>(h)])
+              << "q=" << q << " s=" << s << " d=" << d << " hop " << h;
         }
-        fnv1a(h, rng.next());
-        EXPECT_EQ(h, degraded ? pins[gi].degraded[k] : pins[gi].intact[k])
-            << schemes[k]->name() << " graph " << gi
-            << (degraded ? " degraded" : " intact") << " 0x" << std::hex
-            << h;
+        ASSERT_EQ(rng_algebraic.next(), rng_bfs.next())
+            << "q=" << q << " s=" << s << " d=" << d;
       }
     }
+  }
+}
+
+TEST(PfOracle, AdaptiveRoutesMatchBfsPins) {
+  // The intact rows of Routing.AdaptiveRoutesArePinned's PolarFly pins,
+  // drawn through the algebraic oracle instead of the BFS matrix.
+  const auto pf7 = std::make_shared<const core::PolarFly>(7);
+  const sim::DistanceOracle oracle(pf7);
+  const auto intact = adaptive_route_hashes(pf7->graph(), oracle);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(intact[k], kAdaptivePins[0].intact[k])
+        << kAdaptiveSchemes[k] << " 0x" << std::hex << intact[k];
+  }
+}
+
+TEST(PfOracle, ClosedFormDistances) {
+  // ER_q has q(q+1)^2 directed links and every other pair of distinct
+  // routers is at distance 2, so the mean distance is
+  // 2 - q(q+1)^2 / (N(N-1)) with N = q^2 + q + 1.
+  const struct {
+    std::uint32_t q;
+    double mean;
+  } cases[] = {{7, 1.85965}, {13, 1.92350}};
+  for (const auto& c : cases) {
+    const sim::DistanceOracle oracle(
+        std::make_shared<const core::PolarFly>(c.q));
+    const std::int64_t q = c.q;
+    const std::int64_t n = q * q + q + 1;
+    std::int64_t adjacent = 0;
+    std::int64_t total = 0;
+    for (int s = 0; s < n; ++s) {
+      for (int d = 0; d < n; ++d) {
+        if (s == d) continue;
+        const int dist = oracle.distance(s, d);
+        adjacent += dist == 1;
+        total += dist;
+      }
+    }
+    EXPECT_EQ(adjacent, q * (q + 1) * (q + 1)) << "q=" << q;
+    const double mean =
+        static_cast<double>(total) / static_cast<double>(n * (n - 1));
+    EXPECT_DOUBLE_EQ(mean, 2.0 - static_cast<double>(q * (q + 1) * (q + 1)) /
+                                     static_cast<double>(n * (n - 1)))
+        << "q=" << q;
+    EXPECT_NEAR(mean, c.mean, 5e-6) << "q=" << q;
   }
 }
 

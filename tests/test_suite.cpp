@@ -18,6 +18,7 @@
 #include "exp/suite.hpp"
 #include "graph/algos.hpp"
 #include "sim/harness.hpp"
+#include "topo/registry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -304,8 +305,9 @@ TEST(SuiteParse, CommittedFullScaleSuiteResolvesEverywhere) {
   // paper_figs_full.json is the Tab. V-scale companion: PF q=31/q=47 vs
   // the iso-radix SF/DF/JF setups. Every topology must construct, every
   // case must carry a wall-clock budget (these runs are hours, not
-  // seconds), and the paper-scale graphs must land on the compact
-  // distance-oracle path automatically.
+  // seconds), and no paper-scale oracle may hold an int16 matrix: intact
+  // PolarFly routes from ER_q's algebra with no matrix at all, and every
+  // other graph lands on the compact path automatically.
   const exp::Suite suite =
       exp::load_suite(std::string(PF_SUITE_DIR) + "/paper_figs_full.json");
   EXPECT_EQ(suite.name, "paper_figs_full");
@@ -316,9 +318,14 @@ TEST(SuiteParse, CommittedFullScaleSuiteResolvesEverywhere) {
     EXPECT_GT(cs.timeout_seconds, 0.0) << cs.spec.name;
     const exp::Scenario scenario = registry.make(cs.spec);
     EXPECT_TRUE(exp::serves_all_terminals(*scenario.setup)) << cs.spec.name;
-    // Tab. V scale: every graph here has >= 512 routers, so Auto mode
-    // must have chosen int8 storage.
-    EXPECT_TRUE(scenario.setup->oracle->compact()) << cs.spec.name;
+    if (topo::parse_topology_spec(cs.spec.topology).family == "polarfly") {
+      EXPECT_NE(scenario.setup->polarfly, nullptr) << cs.spec.name;
+      EXPECT_EQ(scenario.setup->oracle->matrix_bytes(), 0u) << cs.spec.name;
+    } else {
+      // Tab. V scale: every graph here has >= 512 routers, so Auto mode
+      // must have chosen int8 storage.
+      EXPECT_TRUE(scenario.setup->oracle->compact()) << cs.spec.name;
+    }
   }
 }
 
