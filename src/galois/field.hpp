@@ -31,8 +31,12 @@ class Field {
   std::uint32_t characteristic() const { return p_; }
   std::uint32_t degree() const { return m_; }
 
+  /// Operands must be field elements, in [0, q): a prime-field sum is
+  /// then below 2p and one conditional subtraction reduces it.
   std::uint32_t add(std::uint32_t a, std::uint32_t b) const {
-    return m_ == 1 ? (a + b) % p_ : add_[a * q_ + b];
+    if (m_ != 1) return add_[a * q_ + b];
+    const std::uint32_t s = a + b;
+    return s >= p_ ? s - p_ : s;
   }
 
   std::uint32_t neg(std::uint32_t a) const { return neg_[a]; }

@@ -136,6 +136,7 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
       num_channels * static_cast<std::size_t>(vcs_used_);
   ring_ends_.assign(num_rings, RingEnds{-1, -1});
   ring_size_.assign(num_rings, 0);
+  gather_ = num_rings * sizeof(RingEnds) > kGatherMinRingBytes;
   vc_nonempty_.assign(num_channels, 0);
   link_busy_until_.assign(num_channels, 0);
   injection_pool_.assign(static_cast<std::size_t>(n), {});
@@ -904,7 +905,69 @@ void Network::drain_channel(int v, int c) {
   }
 }
 
+namespace {
+
+/// Prefetches every cache line of [p, p + bytes).
+[[gnu::always_inline]] inline void prefetch_span(const void* p,
+                                                std::size_t bytes) {
+  constexpr std::uintptr_t kLine = 64;
+  const auto first = reinterpret_cast<std::uintptr_t>(p) & ~(kLine - 1);
+  const auto last = reinterpret_cast<std::uintptr_t>(p) + bytes - 1;
+  for (std::uintptr_t a = first; a <= last; a += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(a));
+  }
+}
+
+}  // namespace
+
+std::size_t Network::pool_scan(int v) const {
+  return std::min(injection_pool_[static_cast<std::size_t>(v)].size(),
+                  static_cast<std::size_t>(
+                      4 * endpoints_[static_cast<std::size_t>(v)] + 8));
+}
+
+// The gather helpers are forced inline, loops and all: GCC's
+// interprocedural analysis counts a function (or lambda) whose only
+// effects are prefetches as `const` and deletes every call to it.
+[[gnu::always_inline]] inline void Network::prefetch_router(int v) const {
+  const int* incoming = in_channels_[static_cast<std::size_t>(v)].data();
+  const std::uint64_t* pending =
+      in_nonempty_.data() + static_cast<std::size_t>(v) * in_words_;
+  for (std::size_t w = 0; w < in_words_; ++w) {
+    for (std::uint64_t m = pending[w]; m != 0; m &= m - 1) {
+      const int c =
+          incoming[(w << 6) + static_cast<std::size_t>(__builtin_ctzll(m))];
+      __builtin_prefetch(&vc_nonempty_[static_cast<std::size_t>(c)]);
+      prefetch_span(&ring_ends_[ring_of(c, 0)],
+                    sizeof(RingEnds) * static_cast<std::size_t>(vcs_used_));
+    }
+  }
+}
+
+[[gnu::always_inline]] inline void Network::prefetch_heads(int v) const {
+  const int* incoming = in_channels_[static_cast<std::size_t>(v)].data();
+  const std::uint64_t* pending =
+      in_nonempty_.data() + static_cast<std::size_t>(v) * in_words_;
+  for (std::size_t w = 0; w < in_words_; ++w) {
+    for (std::uint64_t m = pending[w]; m != 0; m &= m - 1) {
+      const int c =
+          incoming[(w << 6) + static_cast<std::size_t>(__builtin_ctzll(m))];
+      for (std::uint64_t vcs = vc_nonempty_[static_cast<std::size_t>(c)];
+           vcs != 0; vcs &= vcs - 1) {
+        const int id = ring_ends_[ring_of(c, __builtin_ctzll(vcs))].front;
+        prefetch_span(&packets_[static_cast<std::size_t>(id)], sizeof(Packet));
+      }
+    }
+  }
+  const auto& pool = injection_pool_[static_cast<std::size_t>(v)];
+  for (std::size_t i = 0, scan = pool_scan(v); i < scan; ++i) {
+    prefetch_span(&packets_[static_cast<std::size_t>(pool[i])],
+                  sizeof(Packet));
+  }
+}
+
 void Network::allocate_router(int v) {
+  if (gather_) prefetch_heads(v);
   // Transit before injection: in-network packets get first claim on the
   // output links, otherwise saturated sources starve every through-flow
   // and the network gridlocks instead of plateauing.
@@ -954,10 +1017,7 @@ void Network::allocate_router(int v) {
   // exact set the old erase-per-dispatch loop examined — and survivors
   // slide down in order, O(pool) per call instead of O(pool) per grant.
   auto& pool = injection_pool_[static_cast<std::size_t>(v)];
-  const std::size_t scan =
-      std::min(pool.size(),
-               static_cast<std::size_t>(
-                   4 * endpoints_[static_cast<std::size_t>(v)] + 8));
+  const std::size_t scan = pool_scan(v);
   std::size_t read = 0;
   std::size_t write = 0;
   std::size_t dispatched = 0;
@@ -1050,6 +1110,18 @@ void Network::process_cycle() {
       wake_now_[w] &= wake_now_[w] - 1;
       const int v = static_cast<int>((w << 6) + static_cast<std::size_t>(b));
       if (router_backlog_[static_cast<std::size_t>(v)] == 0) continue;
+      // Start the next due router's loads before this visit stalls on
+      // its own (a wake this visit adds ahead of the cursor is missed,
+      // which costs only the prefetch).
+      if (gather_) {
+        std::size_t nw = w;
+        std::uint64_t ahead = wake_now_[w];
+        while (ahead == 0 && ++nw < wake_now_.size()) ahead = wake_now_[nw];
+        if (ahead != 0) {
+          prefetch_router(static_cast<int>(
+              (nw << 6) + static_cast<std::size_t>(__builtin_ctzll(ahead))));
+        }
+      }
       ev_dirty_ = false;
       ev_hint_ = std::numeric_limits<std::int64_t>::max();
       allocate_router(v);

@@ -232,6 +232,10 @@ class Network {
   }
   /// Deepest any single VC ring got (packets), since construction/reset.
   int peak_vc_packets() const { return peak_vc_packets_; }
+  /// Whether router visits run the prefetching gather stage: only when
+  /// the VC rings outgrow kGatherMinRingBytes. Either way every
+  /// statistic is the same; only the speed differs.
+  bool gathers() const { return gather_; }
 
   std::int64_t current_cycle() const { return cycle_; }
 
@@ -373,6 +377,17 @@ class Network {
   /// priority order, then its injection pool; maintains the agenda
   /// (credit wakeups, in-channel masks, dirty/hint rearm inputs).
   void allocate_router(int v);
+  /// Injection-pool entries a visit of v examines: the bounded FCFS scan.
+  std::size_t pool_scan(int v) const;
+  /// The visit's read-only gather stage: prefetches and plain reads, no
+  /// state written and no RNG drawn, so it moves the timing of a visit
+  /// and nothing else. prefetch_router runs one due router ahead: the VC
+  /// masks and ring ends of v's occupied in-channels. prefetch_heads runs
+  /// at the top of v's own visit: every cache line of each non-empty VC's
+  /// front packet and of the pool packets the visit will examine. Both
+  /// run only when gather_ is set.
+  void prefetch_router(int v) const;
+  void prefetch_heads(int v) const;
   /// Drains one input channel: highest-VC-first grant attempts against
   /// the rotating-priority snapshot, popping every winner.
   void drain_channel(int v, int channel);
@@ -552,6 +567,12 @@ class Network {
     std::int32_t back;
   };
   std::vector<RingEnds> ring_ends_;           ///< per ring
+  /// Below this much ring memory the rings and the packets they hold
+  /// stay cache-resident and the gather stage only adds work: PF q=13
+  /// (0.33 MB of rings) runs slower with it, q=31 (4 MB) and q=47
+  /// (13.9 MB) faster (docs/perf.md, "Where the time goes at q=47").
+  static constexpr std::size_t kGatherMinRingBytes = std::size_t{1} << 20;
+  bool gather_ = false;  ///< ring memory > kGatherMinRingBytes
   std::vector<std::uint16_t> ring_size_;      ///< per ring
   std::vector<std::uint64_t> vc_nonempty_;    ///< per channel: VC bitmask
   std::vector<std::int64_t> link_busy_until_; ///< per channel serialization

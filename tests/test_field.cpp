@@ -96,6 +96,20 @@ INSTANTIATE_TEST_SUITE_P(Primes, FieldAxioms, ::testing::ValuesIn(kPrimes));
 INSTANTIATE_TEST_SUITE_P(PrimePowers, FieldAxioms,
                          ::testing::ValuesIn(kPrimePowers));
 
+TEST(Field, PrimeAddIsTheModularSum) {
+  std::vector<std::uint32_t> primes = kPrimes;
+  primes.push_back(47);  // the paper's largest PolarFly, ER_47
+  for (const std::uint32_t p : primes) {
+    const Field f(p);
+    for (std::uint32_t a = 0; a < p; ++a) {
+      for (std::uint32_t b = 0; b < p; ++b) {
+        ASSERT_EQ(f.add(a, b), (a + b) % p) << "p=" << p << " a=" << a
+                                            << " b=" << b;
+      }
+    }
+  }
+}
+
 TEST(Field, RejectsNonPrimePowers) {
   EXPECT_THROW(Field(1), std::invalid_argument);
   EXPECT_THROW(Field(6), std::invalid_argument);

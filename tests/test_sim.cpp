@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <memory>
 #include <set>
 
@@ -397,6 +398,47 @@ TEST(PfOracle, ClosedFormDistances) {
   }
 }
 
+TEST(Oracle, MinMeanHopsMatchesClosedForm) {
+  // Under MIN routing on ER_q every packet takes its unique minimal path,
+  // so its hop count is the router distance: 0 to a terminal on its own
+  // router, 1 to one of the q(q+1)^2 / N neighbours on average, else 2.
+  // With p terminals per router and destinations uniform over the other
+  // Np - 1 terminals the expected measured mean_hops is
+  // (N-1)p/(Np-1) x (2 - q(q+1)^2/(N(N-1))). Destinations are drawn
+  // independently per packet, so the sample mean's standard error is
+  // sqrt(Var(hops) / delivered); the bound is 5 of them.
+  for (const std::uint32_t q : {7u, 13u}) {
+    const int p = static_cast<int>(q + 1) / 2;
+    const auto setup = exp::make_polarfly_setup(q, p);
+    const sim::MinimalRouting routing(setup.graph, *setup.oracle);
+    const sim::UniformTraffic pattern(setup.terminals());
+    sim::SimConfig config;
+    config.warmup_cycles = 200;
+    config.measure_cycles = 2000;
+    config.drain_cycles = 2000;
+    sim::Network net(setup.graph, setup.endpoints, routing, pattern, config,
+                     0.05);
+    net.run_phases();
+    ASSERT_TRUE(net.converged()) << "q=" << q;
+
+    const double n = static_cast<double>(q * q + q + 1);
+    const double adjacent = static_cast<double>(q * (q + 1) * (q + 1));
+    const double others = n * p - 1.0;
+    const double p1 = p * (adjacent / n) / others;
+    const double p2 = p * (n - 1.0 - adjacent / n) / others;
+    const double mean = p1 + 2.0 * p2;
+    EXPECT_NEAR(mean,
+                (n - 1.0) * p / others * (2.0 - adjacent / (n * (n - 1.0))),
+                1e-12);
+    const double variance = p1 + 4.0 * p2 - mean * mean;
+    const auto delivered = static_cast<double>(net.delivered_packets());
+    ASSERT_GT(delivered, 1000.0) << "q=" << q;
+    const double stderr_mean = std::sqrt(variance / delivered);
+    EXPECT_NEAR(net.mean_hops(), mean, 5.0 * stderr_mean)
+        << "q=" << q << " delivered=" << delivered;
+  }
+}
+
 TEST(Routing, FatTreeNca) {
   const topo::FatTree ft(3, 4);
   const sim::FatTreeNcaRouting nca(ft);
@@ -787,6 +829,12 @@ TEST(EventEngine, MatchesCycleCoreAboveInDegree64) {
   config.warmup_cycles = 300;
   config.measure_cycles = 500;
   config.drain_cycles = 1800;
+  // 8450 channels x 16 VCs of rings (1.08 MB) switch the visit's
+  // prefetching gather stage on, so the pins cover its walk of the
+  // two-word masks too.
+  ASSERT_TRUE(sim::Network(hx.graph, endpoints, min_routing, uniform, config,
+                           0.05)
+                  .gathers());
   struct Leg {
     const sim::RoutingAlgorithm* routing;
     double load;
