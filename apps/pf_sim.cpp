@@ -1,8 +1,8 @@
 // pf_sim — run the flit-level network simulator from the command line:
 // one topology, one routing algorithm, one traffic pattern, one load, a
 // whole latency-vs-load sweep, an adaptive saturation search — or a whole
-// declarative scenario suite. The CLI twin of the figure benches, driving
-// the same src/exp engine.
+// declarative scenario suite. A single run is a one-case suite: it goes
+// through the same SuiteRunner and writes the same record.
 //
 //   pf_sim --topology pf --q 13 --routing UGALPF --pattern uniform
 //          --loads 0.1:1.0:8 [--endpoints P] [--packet-size 4] [--vcs 16]
@@ -32,6 +32,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,6 @@
 #include "exp/scenario.hpp"
 #include "exp/suite.hpp"
 #include "sim/deadlock.hpp"
-#include "sim/harness.hpp"
 #include "sim/network.hpp"
 #include "sim/routing.hpp"
 #include "sim/traffic.hpp"
@@ -146,7 +146,8 @@ int usage() {
       "       inter-event cycle gaps, hottest routers\n"
       "\n"
       "options:\n"
-      "  --endpoints N    endpoints per router (default: radix/2 balanced)\n"
+      "  --endpoints N    endpoints per router, the spec's p= (default:\n"
+      "                   radix/2 balanced)\n"
       "  --packet-size N  flits per packet (default 4)\n"
       "  --vcs N          virtual channels per port (default 16)\n"
       "  --buf N          flit buffer per port (default 256)\n"
@@ -209,17 +210,15 @@ std::string operand_or_usage(const util::CliArgs& args, std::size_t index,
 /// operands or unknown options are bad invocations (exit 2), not
 /// warnings — a typo'd --rtol must not silently loosen the CI gate.
 /// Call after every legitimate operand/option has been queried.
-bool reject_stray_arguments(const util::CliArgs& args,
-                            const char* subcommand) {
+bool reject_stray_arguments(const util::CliArgs& args, const char* tool) {
   bool stray = false;
   for (const auto& key : args.unused_keys()) {
-    std::fprintf(stderr, "pf_sim %s: unknown option --%s\n", subcommand,
-                 key.c_str());
+    std::fprintf(stderr, "%s: unknown option --%s\n", tool, key.c_str());
     stray = true;
   }
   for (const auto& operand : args.unused_positionals()) {
-    std::fprintf(stderr, "pf_sim %s: unexpected argument '%s'\n",
-                 subcommand, operand.c_str());
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n", tool,
+                 operand.c_str());
     stray = true;
   }
   return stray;
@@ -319,7 +318,7 @@ int run_suite(const util::CliArgs& args) {
   }
   // Every legitimate option is queried by now; reject typos BEFORE the
   // run — a silently dropped --json on a multi-hour suite is wasted work.
-  if (reject_stray_arguments(args, "suite")) return 2;
+  if (reject_stray_arguments(args, "pf_sim suite")) return 2;
 
   // Resume loads the journal BEFORE the truncation below; a missing
   // journal just means nothing completed yet.
@@ -409,7 +408,7 @@ int run_diff(const util::CliArgs& args) {
   options.rtol = args.real_or("rtol", options.rtol);
   options.atol = args.real_or("atol", options.atol);
   const std::string junit_path = args.str_or("junit", "");
-  if (reject_stray_arguments(args, "diff")) return 2;
+  if (reject_stray_arguments(args, "pf_sim diff")) return 2;
 
   const exp::RunDocument baseline =
       load_run_document(baseline_path, "diff", usage_diff);
@@ -513,7 +512,7 @@ int run_report(const util::CliArgs& args) {
     const std::string baseline_path = args.str("compare");
     const std::string candidate_path = operand_or_usage(
         args, 0, "candidate records file", "report", usage_report);
-    if (reject_stray_arguments(args, "report")) return 2;
+    if (reject_stray_arguments(args, "pf_sim report")) return 2;
     const exp::RunDocument baseline =
         load_run_document(baseline_path, "report", usage_report);
     const exp::RunDocument candidate =
@@ -548,7 +547,7 @@ int run_report(const util::CliArgs& args) {
   const std::string path =
       operand_or_usage(args, 0, "records file", "report", usage_report);
   const int top = args.integer_in("top", 8, 0, kIntMax);
-  if (reject_stray_arguments(args, "report")) return 2;
+  if (reject_stray_arguments(args, "pf_sim report")) return 2;
   const exp::RunDocument doc =
       load_run_document(path, "report", usage_report);
   for (const auto& record : doc.records) {
@@ -568,7 +567,7 @@ int run_trace_stats(const util::CliArgs& args) {
   const std::string path = operand_or_usage(args, 0, "trace file",
                                             "trace-stats", usage_trace_stats);
   const int top = args.integer_in("top", 8, 0, kIntMax);
-  if (reject_stray_arguments(args, "trace-stats")) return 2;
+  if (reject_stray_arguments(args, "pf_sim trace-stats")) return 2;
   std::string text;
   if (!util::read_text_file(path, text)) {
     std::fprintf(stderr, "pf_sim trace-stats: cannot read trace file '%s'\n",
@@ -697,6 +696,184 @@ int run_trace_stats(const util::CliArgs& args) {
   return 0;
 }
 
+/// The single run: the flags become one exp::SuiteCase, which the serial
+/// SuiteRunner resolves and runs exactly like a one-entry suite, so both
+/// write the same record. --check-deadlock and --workload-out resolve the
+/// same Scenario for the CLI-only work they add.
+int run_single(const util::CliArgs& args) {
+  exp::SuiteCase cs;
+  topo::TopologySpec topology = topology_from_args(args);
+  // --endpoints is the spec's p= (and wins over it when both are given).
+  if (args.has("endpoints")) {
+    topology.params["p"] = args.integer_in("endpoints", 1, kIntMax);
+  }
+  cs.spec.topology = topo::canonical_spec(topology);
+
+  sim::SimConfig& config = cs.spec.config;
+  config.packet_size =
+      args.integer_in("packet-size", config.packet_size, 1, kIntMax);
+  config.vcs = args.integer_in("vcs", config.vcs, 1, kIntMax);
+  config.buf_per_port = args.integer_in("buf", config.buf_per_port, 1, kIntMax);
+  config.warmup_cycles =
+      args.integer_in("warmup", config.warmup_cycles, 0, kIntMax);
+  config.measure_cycles =
+      args.integer_in("measure", config.measure_cycles, 0, kIntMax);
+  config.drain_cycles =
+      args.integer_in("drain", config.drain_cycles, 0, kIntMax);
+  config.seed = static_cast<std::uint64_t>(args.integer_in<std::int64_t>(
+      "seed", static_cast<std::int64_t>(config.seed), 0, kSeedMax));
+  if (args.has("engine") &&
+      !sim::parse_engine(args.str("engine"), config.engine)) {
+    std::fprintf(stderr, "pf_sim: unknown engine '%s' (event/cycle)\n",
+                 args.str("engine").c_str());
+    return 2;
+  }
+  // Telemetry is strictly additive: the simulated trajectory with it on
+  // is bit-identical to a plain run. --trace implies --telemetry (the
+  // sampler lives in the collector).
+  const bool trace = args.has("trace");
+  config.telemetry.enabled = args.has("telemetry") || trace;
+  config.telemetry.window_cycles = args.integer_in(
+      "telemetry-window", config.telemetry.window_cycles, 1, kIntMax);
+  const std::string trace_path = args.str_or("trace", "");
+  // A traced run samples every packet unless told otherwise.
+  config.telemetry.trace_sample = args.real_or("trace-sample", 1.0);
+  config.telemetry.trace_seed = static_cast<std::uint64_t>(
+      args.integer_in<std::int64_t>("trace-seed", 0, 0, kSeedMax));
+
+  cs.spec.routing = args.str_or("routing", cs.spec.routing);
+  cs.spec.pattern = args.str_or("pattern", cs.spec.pattern);
+  // --workload switches the run into workload mode: the pattern then only
+  // provides the terminal -> router map (leave it at the default uniform).
+  cs.spec.workload = args.str_or("workload", "");
+  if (args.has("ugal-threshold")) {
+    cs.spec.routing_options.ugal_threshold = args.real("ugal-threshold");
+    if (cs.spec.routing != "UGAL" && cs.spec.routing != "UGALPF") {
+      std::fprintf(stderr,
+                   "warning: --ugal-threshold has no effect on routing %s\n",
+                   cs.spec.routing.c_str());
+    }
+  }
+  cs.saturation = args.has("saturation-search");
+  cs.sat_lo = args.real_or("sat-lo", cs.sat_lo);
+  cs.sat_hi = args.real_or("sat-hi", cs.sat_hi);
+  cs.sat_tol = args.real_or("sat-tol", cs.sat_tol);
+  cs.sat_iters = args.integer_in("sat-iters", cs.sat_iters, 1, kIntMax);
+  const double load = args.real_or("load", 0.5);
+  cs.loads = args.has("loads") ? util::parse_range(args.str("loads"))
+                               : std::vector<double>{load};
+
+  const bool check_deadlock = args.has("check-deadlock");
+  const int classes =
+      args.has("classes") ? args.integer_in("classes", 1, kIntMax) : 0;
+  const int samples = args.integer_in("samples", 2, 1, kIntMax);
+  // --workload-out captures the compiled workload as a polarfly-trace/1
+  // JSONL file; replay it with --workload trace:file=PATH.
+  const std::string workload_out = args.str_or("workload-out", "");
+  const std::string csv = args.str_or("csv", "");
+  (void)args.has("json");  // written by exp::finish after the run
+  // Every legitimate option is queried by now: refuse typos before
+  // anything is simulated or written.
+  if (reject_stray_arguments(args, "pf_sim")) return 2;
+  if (!workload_out.empty() && cs.spec.workload.empty()) {
+    std::fprintf(stderr, "pf_sim: --workload-out requires --workload SPEC\n");
+    return 2;
+  }
+
+  // The sink must outlive the run.
+  std::unique_ptr<sim::TraceSink> trace_sink;
+  if (!trace_path.empty()) {
+    trace_sink = sim::TraceSink::open_file(trace_path);
+    if (trace_sink == nullptr) {
+      std::fprintf(stderr, "pf_sim: cannot write trace file '%s'\n",
+                   trace_path.c_str());
+      return 1;
+    }
+    config.telemetry.trace = trace_sink.get();
+  }
+
+  // Held across the run so the registry hands the runner the same
+  // compiled workload.
+  exp::Scenario scenario;
+  if (check_deadlock || !workload_out.empty()) {
+    scenario = exp::ScenarioRegistry::shared().make(cs.spec);
+  }
+  if (!workload_out.empty()) {
+    const sim::Workload& workload = *scenario.workload;
+    if (!util::write_text_file(workload_out, workload.to_trace())) {
+      std::fprintf(stderr, "pf_sim: cannot write workload trace '%s'\n",
+                   workload_out.c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "workload trace: %s (%s, %d ranks, %d phases)\n",
+                 workload_out.c_str(), workload.name().c_str(),
+                 workload.num_ranks(), workload.num_phases());
+  }
+
+  if (check_deadlock) {
+    // Dally-Seitz check instead of a simulation: build the channel
+    // dependency graph of the chosen scheme under its (or --classes')
+    // VC-class budget and report acyclicity. Adaptive schemes are checked
+    // on an idle network, which exercises their minimal branch; their
+    // detour branches are the VAL/CVAL schemes, checkable directly.
+    const exp::NetSetup& setup = *scenario.setup;
+    const sim::RoutingAlgorithm& routing = *scenario.routing;
+    const int budget = classes > 0 ? classes : routing.max_hops();
+    const sim::Network idle(setup.graph,
+                            std::vector<int>(setup.graph.num_vertices(), 1),
+                            routing, *scenario.pattern, sim::SimConfig{},
+                            0.0);
+    const auto check = sim::check_channel_dependencies(
+        setup.graph,
+        [&](int s, int d, util::Rng& rng, sim::Route& out) {
+          out.clear();
+          // Only terminal pairs carry traffic (fat-tree transit switches
+          // never source or sink packets).
+          if (setup.endpoints[static_cast<std::size_t>(s)] == 0 ||
+              setup.endpoints[static_cast<std::size_t>(d)] == 0) {
+            return;
+          }
+          routing.route(idle, s, d, rng, out);
+        },
+        samples, budget, config.seed);
+    const std::string cycle_note =
+        check.acyclic ? ""
+                      : ", " + std::to_string(check.cycle_length) +
+                            " nodes in cycles";
+    std::printf(
+        "%s / %s with %d VC class(es): %s (%d dependency nodes, %lld "
+        "edges%s)\n",
+        setup.name.c_str(), routing.name().c_str(), budget,
+        check.acyclic ? "deadlock-free (acyclic CDG)" : "CYCLIC - unsafe",
+        check.nodes, static_cast<long long>(check.edges),
+        cycle_note.c_str());
+    return check.acyclic ? 0 : 1;
+  }
+
+  exp::ScheduleOptions serial;
+  serial.parallel = false;
+  exp::ResultLog log;
+  exp::SuiteRunner(exp::ScenarioRegistry::shared(), serial)
+      .run(exp::Suite{"", {cs}}, log);
+  const exp::RunRecord& run = log.records().front();
+
+  if (config.telemetry.enabled) {
+    exp::print_report(run, config.telemetry.top_links);
+  } else {
+    exp::print_run(run);
+  }
+  std::printf(
+      "perf: %.0f sim cycles/s, mean hops %.3f, peak VC occupancy %d\n",
+      run.perf.cycles_per_sec, run.perf.mean_hop_count,
+      run.perf.peak_vc_occupancy);
+
+  if (!csv.empty() && !exp::sweep_table(run).write_csv(csv)) {
+    std::fprintf(stderr, "cannot write %s\n", csv.c_str());
+    return 1;
+  }
+  return exp::finish(args, log, "pf_sim");
+}
+
 int run(int argc, char** argv) {
   const util::CliArgs args = util::CliArgs::parse(argc, argv);
   if (args.command() == "suite" || args.command() == "diff" ||
@@ -731,204 +908,17 @@ int run(int argc, char** argv) {
     return usage();
   }
   if (!args.has("topology")) return usage();
-
-  // A spec-string p= ("pf:q=13,p=7") sets the endpoint count exactly as
-  // it does in suite files; --endpoints still wins when both are given.
-  int spec_p = -1;
-  const auto inst = topology_from_args(args, &spec_p);
-  const int p = args.integer_in(
-      "endpoints", spec_p > 0 ? spec_p : inst.default_concentration(), 1,
-      kIntMax);
-  const exp::NetSetup setup = exp::make_setup(inst, p);
-
-  sim::SimConfig config;
-  config.packet_size = args.integer_in("packet-size", 4, 1, kIntMax);
-  config.vcs = args.integer_in("vcs", 16, 1, kIntMax);
-  config.buf_per_port = args.integer_in("buf", 256, 1, kIntMax);
-  config.warmup_cycles = args.integer_in("warmup", 3000, 0, kIntMax);
-  config.measure_cycles = args.integer_in("measure", 4000, 0, kIntMax);
-  config.drain_cycles = args.integer_in("drain", 8000, 0, kIntMax);
-  config.seed = static_cast<std::uint64_t>(
-      args.integer_in<std::int64_t>("seed", 42, 0, kSeedMax));
-  if (args.has("engine") &&
-      !sim::parse_engine(args.str("engine"), config.engine)) {
-    std::fprintf(stderr, "pf_sim: unknown engine '%s' (event/cycle)\n",
-                 args.str("engine").c_str());
-    return 2;
+  // Bad flags and content errors surfaced at resolution or by the engine
+  // (unknown routing, infeasible parameters, a workload under
+  // --saturation-search) are bad input, as in `pf_sim suite`: exit 2.
+  try {
+    return run_single(args);
+  } catch (const util::CliError& e) {
+    std::fprintf(stderr, "pf_sim: %s\n", e.what());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pf_sim: %s\n", e.what());
   }
-
-  // Telemetry is strictly additive: the simulated trajectory with it on
-  // is bit-identical to a plain run. --trace implies --telemetry (the
-  // sampler lives in the collector). The sink must outlive the sweep.
-  std::unique_ptr<sim::TraceSink> trace_sink;
-  if (args.has("telemetry") || args.has("trace")) {
-    config.telemetry.enabled = true;
-    config.telemetry.window_cycles = args.integer_in(
-        "telemetry-window", config.telemetry.window_cycles, 1, kIntMax);
-  }
-  const std::string trace_path = args.str_or("trace", "");
-  if (!trace_path.empty()) {
-    trace_sink = sim::TraceSink::open_file(trace_path);
-    if (trace_sink == nullptr) {
-      std::fprintf(stderr, "pf_sim: cannot write trace file '%s'\n",
-                   trace_path.c_str());
-      return 1;
-    }
-    config.telemetry.trace = trace_sink.get();
-    config.telemetry.trace_sample = args.real_or("trace-sample", 1.0);
-    config.telemetry.trace_seed = static_cast<std::uint64_t>(
-        args.integer_in<std::int64_t>("trace-seed", 0, 0, kSeedMax));
-  }
-
-  exp::RoutingOptions routing_options;
-  const std::string routing_kind = args.str_or("routing", "MIN");
-  if (args.has("ugal-threshold")) {
-    routing_options.ugal_threshold = args.real("ugal-threshold");
-    if (routing_kind != "UGAL" && routing_kind != "UGALPF") {
-      std::fprintf(stderr,
-                   "warning: --ugal-threshold has no effect on routing %s\n",
-                   routing_kind.c_str());
-    }
-  }
-  const auto routing = exp::make_routing(setup, routing_kind,
-                                         routing_options);
-  const auto pattern = exp::make_pattern(
-      setup, args.str_or("pattern", "uniform"), config.seed);
-
-  // --workload switches the run into workload mode: the pattern then only
-  // provides the terminal -> router map (leave it at the default uniform).
-  // --workload-out captures the compiled workload as a polarfly-trace/1
-  // JSONL file; replay it with --workload trace:file=PATH.
-  std::shared_ptr<const sim::Workload> workload;
-  const std::string workload_spec = args.str_or("workload", "");
-  const std::string workload_out = args.str_or("workload-out", "");
-  if (!workload_spec.empty()) {
-    if (args.has("saturation-search")) {
-      std::fprintf(stderr,
-                   "pf_sim: --workload cannot combine with "
-                   "--saturation-search (a workload completes at any load "
-                   "— sweep fixed loads instead)\n");
-      return 2;
-    }
-    try {
-      workload = sim::Workload::make(
-          workload_spec, static_cast<int>(setup.terminals().size()),
-          config.seed);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "pf_sim: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!workload_out.empty()) {
-    if (workload == nullptr) {
-      std::fprintf(stderr,
-                   "pf_sim: --workload-out requires --workload SPEC\n");
-      return 2;
-    }
-    if (!util::write_text_file(workload_out, workload->to_trace())) {
-      std::fprintf(stderr, "pf_sim: cannot write workload trace '%s'\n",
-                   workload_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "workload trace: %s (%s, %d ranks, %d phases)\n",
-                 workload_out.c_str(), workload->name().c_str(),
-                 workload->num_ranks(), workload->num_phases());
-  }
-
-  if (args.has("check-deadlock")) {
-    // Dally-Seitz check instead of a simulation: build the channel
-    // dependency graph of the chosen scheme under its (or --classes')
-    // VC-class budget and report acyclicity. Adaptive schemes are checked
-    // on an idle network, which exercises their minimal branch; their
-    // detour branches are the VAL/CVAL schemes, checkable directly.
-    const int classes =
-        args.integer_in("classes", routing->max_hops(), 1, kIntMax);
-    const sim::Network idle(inst.graph,
-                            std::vector<int>(inst.graph.num_vertices(), 1),
-                            *routing, *pattern, sim::SimConfig{}, 0.0);
-    const auto check = sim::check_channel_dependencies(
-        inst.graph,
-        [&](int s, int d, util::Rng& rng, sim::Route& out) {
-          out.clear();
-          // Only terminal pairs carry traffic (fat-tree transit switches
-          // never source or sink packets).
-          if (setup.endpoints[static_cast<std::size_t>(s)] == 0 ||
-              setup.endpoints[static_cast<std::size_t>(d)] == 0) {
-            return;
-          }
-          routing->route(idle, s, d, rng, out);
-        },
-        args.integer_in("samples", 2, 1, kIntMax), classes,
-        config.seed);
-    const std::string cycle_note =
-        check.acyclic ? ""
-                      : ", " + std::to_string(check.cycle_length) +
-                            " nodes in cycles";
-    std::printf(
-        "%s / %s with %d VC class(es): %s (%d dependency nodes, %lld "
-        "edges%s)\n",
-        inst.label.c_str(), routing->name().c_str(), classes,
-        check.acyclic ? "deadlock-free (acyclic CDG)" : "CYCLIC - unsafe",
-        check.nodes, static_cast<long long>(check.edges),
-        cycle_note.c_str());
-    return check.acyclic ? 0 : 1;
-  }
-
-  const std::string traffic_name =
-      workload != nullptr ? workload->name() : pattern->name();
-  const std::string label = inst.label + " / " + routing->name() + " / " +
-                            traffic_name + " (p=" + std::to_string(p) +
-                            ")";
-
-  exp::RunRecord run;
-  if (args.has("saturation-search")) {
-    run = exp::saturation_search(
-        setup, *routing, *pattern, config, label,
-        args.real_or("sat-lo", 0.05), args.real_or("sat-hi", 1.0),
-        args.real_or("sat-tol", 0.02),
-        args.integer_in("sat-iters", 10, 1, kIntMax));
-  } else {
-    std::vector<double> loads;
-    if (args.has("loads")) {
-      loads = util::parse_range(args.str("loads"));
-    } else {
-      loads = {args.real_or("load", 0.5)};
-    }
-    run = exp::run_sweep(setup, *routing, *pattern, config, loads, label,
-                         0.0, workload.get());
-  }
-
-  const std::string pattern_kind = args.str_or("pattern", "uniform");
-  if (workload != nullptr) {
-    // Key off the compiled workload's canonical name, not the spec: a
-    // trace replay's spec is "trace:file=..." but its name keeps the
-    // captured generator, so seeded captures and replays stamp the same
-    // record identity (and diff clean at rtol 0).
-    if (sim::workload_uses_seed(workload->name())) {
-      run.pattern_seed = config.seed;
-    }
-  } else if (exp::pattern_uses_seed(pattern_kind)) {
-    run.pattern_seed = config.seed;
-  }
-
-  if (config.telemetry.enabled) {
-    exp::print_report(run, config.telemetry.top_links);
-  } else {
-    exp::print_run(run);
-  }
-  std::printf(
-      "perf: %.0f sim cycles/s, mean hops %.3f, peak VC occupancy %d\n",
-      run.perf.cycles_per_sec, run.perf.mean_hop_count,
-      run.perf.peak_vc_occupancy);
-
-  const std::string csv = args.str_or("csv", "");
-  if (!csv.empty() && !exp::sweep_table(run).write_csv(csv)) {
-    std::fprintf(stderr, "cannot write %s\n", csv.c_str());
-    return 1;
-  }
-  exp::ResultLog log;
-  log.add(std::move(run));
-  return exp::finish(args, log, "pf_sim");
+  return 2;
 }
 
 }  // namespace

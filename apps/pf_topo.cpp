@@ -62,7 +62,7 @@ int usage() {
 }
 
 int cmd_generate(const util::CliArgs& args) {
-  const auto inst = topology_from_args(args);
+  const auto inst = instance_from_args(args);
   const std::string format = args.str_or("format", "edgelist");
   const std::string out = args.str_or("out", "");
 
@@ -110,7 +110,7 @@ int cmd_stats(const util::CliArgs& args) {
     inst.graph = graph::read_edge_list(path);
     inst.radix = graph::degree_stats(inst.graph).max;
   } else {
-    inst = topology_from_args(args);
+    inst = instance_from_args(args);
   }
   const auto& g = inst.graph;
   const auto distances = graph::all_pairs_stats(g);
@@ -234,7 +234,7 @@ int cmd_expand(const util::CliArgs& args) {
 }
 
 int cmd_route(const util::CliArgs& args) {
-  const auto inst = topology_from_args(args);
+  const auto inst = instance_from_args(args);
   const int src = args.integer_in("src", 0, kIntMax);
   const int dst = args.integer_in("dst", 0, kIntMax);
   const int n = inst.graph.num_vertices();

@@ -1,4 +1,4 @@
-// Shared app helper: build a TopologyInstance from --topology. The flag
+// Shared app helper: read --topology into a TopologySpec. The flag
 // accepts either a bare family plus per-family parameter flags (see
 // topo::topology_usage()) or a full spec string — "pf:q=13,p=7" — the
 // same syntax the scenario/suite layer uses, so one topology name works
@@ -17,13 +17,10 @@
 namespace pf::apps {
 
 /// Collects the spec string and/or registry parameter flags present in
-/// `args` and constructs the topology. When `spec_endpoints` is non-null
-/// it receives the spec's `p=` value (endpoints per router, the suite
-/// layer's meaning) or -1 when the spec does not set one. Throws
-/// util::CliError / std::invalid_argument with a user-facing message on
-/// bad input.
-inline topo::TopologyInstance topology_from_args(
-    const util::CliArgs& args, int* spec_endpoints = nullptr) {
+/// `args`, p= (endpoints per router, the suite layer's meaning) included.
+/// Nothing is constructed yet. Throws util::CliError / std::invalid_argument
+/// with a user-facing message on bad input.
+inline topo::TopologySpec topology_from_args(const util::CliArgs& args) {
   topo::TopologySpec spec = topo::parse_topology_spec(args.str("topology"));
   for (const char* key :
        {"q", "a", "b", "h", "p", "n", "k", "d", "lift", "arity", "levels",
@@ -36,8 +33,14 @@ inline topo::TopologyInstance topology_from_args(
         seed ? std::numeric_limits<std::int64_t>::max()
              : std::numeric_limits<int>::max());
   }
-  const int p = topo::extract_endpoints(spec);
-  if (spec_endpoints != nullptr) *spec_endpoints = p;
+  return spec;
+}
+
+/// The graph the flags name, constructed; p= only counts where it is
+/// structural (dragonfly).
+inline topo::TopologyInstance instance_from_args(const util::CliArgs& args) {
+  topo::TopologySpec spec = topology_from_args(args);
+  topo::extract_endpoints(spec);
   return topo::make_topology(spec.family, spec.params);
 }
 

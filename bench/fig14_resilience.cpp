@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/scenario.hpp"
 #include "graph/algos.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -43,7 +44,7 @@ double disconnection_ratio(const graph::Graph& g, std::uint64_t seed) {
 int main() {
   using namespace pf;
   const int runs = bench::full_scale() ? 100 : 12;
-  const auto setups = bench::make_table5_setups();
+  const auto topologies = bench::make_table5_topologies();
   std::printf("runs per topology: %d\n", runs);
 
   const auto run_seed = [](int r) {
@@ -54,10 +55,10 @@ int main() {
   util::Table summary({"network", "routers", "links", "median disconnect"});
 
   std::vector<std::uint64_t> median_seeds;
-  for (const auto& setup : setups) {
+  for (const auto& [name, inst] : topologies) {
     std::vector<double> ratios(runs);
     util::parallel_for(0, static_cast<std::size_t>(runs), [&](std::size_t r) {
-      ratios[r] = disconnection_ratio(setup.graph,
+      ratios[r] = disconnection_ratio(inst.graph,
                                       run_seed(static_cast<int>(r)));
     });
     // Median run (by disconnection ratio).
@@ -67,8 +68,8 @@ int main() {
       return ratios[a] < ratios[b];
     });
     const int median = index[runs / 2];
-    summary.row(setup.name, setup.graph.num_vertices(),
-                setup.graph.num_edges(), ratios[median]);
+    summary.row(name, inst.graph.num_vertices(), inst.graph.num_edges(),
+                ratios[median]);
     median_seeds.push_back(run_seed(median));
   }
   summary.print();
@@ -78,13 +79,13 @@ int main() {
       "run)");
   util::Table detail({"network", "failure ratio", "diameter", "avg path",
                       "connected"});
-  for (std::size_t i = 0; i < setups.size(); ++i) {
-    const auto& setup = setups[i];
+  for (std::size_t i = 0; i < topologies.size(); ++i) {
+    const auto& [name, inst] = topologies[i];
     for (int pct = 0; pct <= 70; pct += 10) {
       const graph::Graph damaged =
-          exp::apply_failures(setup.graph, failure_at(pct, median_seeds[i]));
+          exp::apply_failures(inst.graph, failure_at(pct, median_seeds[i]));
       const auto stats = graph::all_pairs_stats(damaged);
-      detail.row(setup.name, pct / 100.0, stats.diameter,
+      detail.row(name, pct / 100.0, stats.diameter,
                  stats.avg_path_length, stats.connected ? "yes" : "NO");
       if (!stats.connected) break;
     }

@@ -1,6 +1,7 @@
 #include "exp/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
@@ -84,33 +85,6 @@ RunRecord prepare_sweep_record(const NetSetup& setup,
   return record;
 }
 
-void run_sweep_shard(const NetSetup& setup,
-                     const sim::RoutingAlgorithm& routing,
-                     const sim::TrafficPattern& pattern,
-                     const sim::SimConfig& config,
-                     const std::vector<double>& loads, std::size_t offset,
-                     std::size_t stride, std::vector<RunPoint>& points,
-                     SweepCounters& counters, double timeout_seconds,
-                     const sim::Workload* workload) {
-  if (offset >= loads.size()) return;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration<double>(timeout_seconds);
-  sim::Network net(setup.graph, setup.endpoints, routing, pattern, config,
-                   loads[offset], workload);
-  for (std::size_t i = offset; i < loads.size(); i += stride) {
-    // The first owned point always runs (progress guarantee); later
-    // points are abandoned once the per-case budget is spent.
-    if (i != offset && timeout_seconds > 0.0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      counters.timed_out = true;
-      return;
-    }
-    if (i != offset) timed_reset(net, loads[i], counters);
-    points[i] = run_point(net, counters);
-  }
-}
-
 void run_sweep_claimed(const NetSetup& setup,
                        const sim::RoutingAlgorithm& routing,
                        const sim::TrafficPattern& pattern,
@@ -128,10 +102,10 @@ void run_sweep_claimed(const NetSetup& setup,
                    loads[i], workload);
   bool first = true;
   while (i < loads.size()) {
-    // Same progress guarantee as the strided shard: the first claimed
-    // point always runs, later ones are abandoned past the deadline
-    // (they stay claimed, left at their zero defaults — the record is
-    // stamped "timeout" either way).
+    // Progress guarantee: the first claimed point always runs, later
+    // ones are abandoned once the per-case budget is spent (they stay
+    // claimed, left at their zero defaults — the record is stamped
+    // "timeout" either way).
     if (!first && timeout_seconds > 0.0 &&
         std::chrono::steady_clock::now() >= deadline) {
       counters.timed_out = true;
@@ -195,18 +169,20 @@ RunRecord run_sweep(const NetSetup& setup,
   RunRecord record = prepare_sweep_record(setup, routing, pattern, config,
                                           loads.size(), label, workload);
 
-  // One Network per worker, rewound between its points: loads.size()
-  // simulations share max `workers` channel-index constructions, and a
-  // reset network is bit-identical to a fresh one.
+  // One Network per worker, rewound between the points it claims:
+  // loads.size() simulations share max `workers` channel-index
+  // constructions, and a reset network is bit-identical to a fresh one.
   const std::size_t workers =
       std::min<std::size_t>(loads.size(),
                             util::ThreadPool::shared().num_threads());
   std::vector<SweepCounters> counters(workers);
+  std::atomic<std::size_t> next_point{0};
 
   const auto start = std::chrono::steady_clock::now();
   util::parallel_for(0, workers, [&](std::size_t w) {
-    run_sweep_shard(setup, routing, pattern, config, loads, w, workers,
-                    record.points, counters[w], timeout_seconds, workload);
+    run_sweep_claimed(setup, routing, pattern, config, loads,
+                      [&next_point] { return next_point.fetch_add(1); },
+                      record.points, counters[w], timeout_seconds, workload);
   });
   const auto stop = std::chrono::steady_clock::now();
 

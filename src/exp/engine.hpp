@@ -1,7 +1,7 @@
 // The sweep engine: runs {topology, routing, traffic} scenarios over
 // offered load and returns machine-readable RunRecords with perf
-// counters. Sweep points are distributed over the shared thread pool;
-// each worker owns ONE Network and rewinds it with Network::reset()
+// counters. Sweep points are claimed by workers on the shared thread
+// pool; each worker owns ONE Network and rewinds it with Network::reset()
 // between its points instead of rebuilding channel indexing per point —
 // results are bit-identical to fresh construction either way. The
 // adaptive saturation search bisects on the accepted-load plateau as an
@@ -95,7 +95,7 @@ struct RunRecord {
   std::uint64_t pattern_seed = 0;
   std::vector<RunPoint> points;
   PerfCounters perf;
-  /// Record-level telemetry aggregate (integer counters only, so shard
+  /// Record-level telemetry aggregate (integer counters only, so worker
   /// merges are order-independent); present only when telemetry ran.
   sim::RecordTelemetry telemetry;
   /// Set by saturation_search: bisected accepted-load plateau (0 when the
@@ -115,24 +115,24 @@ struct RunRecord {
 // ---- sweep building blocks ----------------------------------------------
 //
 // run_sweep is composed from three primitives so schedulers above the
-// engine (the suite case scheduler) can slice one sweep into independent
-// strided shards and run shards of *different* records side by side on
-// the pool. Point values are bit-identical however a sweep is sharded:
-// each point is simulated on a Network that is either freshly built or
-// reset(), and reset is proven bit-identical to fresh construction.
+// engine (the suite case scheduler) can let workers claim points of
+// *different* records side by side on the pool. Point values are
+// bit-identical whichever worker claims a point: each point is simulated
+// on a Network that is either freshly built or reset(), and reset is
+// proven bit-identical to fresh construction.
 
-/// Per-shard accumulator for the record-level perf counters. Every
+/// Per-worker accumulator for the record-level perf counters. Every
 /// field that feeds a diffed record value merges commutatively and
-/// associatively (sums of ints, maxima), so shard merge order cannot
+/// associatively (sums of ints, maxima), so worker merge order cannot
 /// change the record; the phase seconds are doubles but wall-clock
 /// class (never compared).
 struct SweepCounters {
   std::int64_t hops = 0;       ///< measured hops, summed over points
   std::int64_t delivered = 0;  ///< delivered packets, summed over points
   int peak_vc = 0;             ///< deepest single VC ring seen
-  bool timed_out = false;      ///< a shard abandoned points on its deadline
+  bool timed_out = false;      ///< a worker abandoned points on its deadline
   sim::RecordTelemetry telemetry;  ///< merged per-point telemetry
-  double reset_seconds = 0.0;      ///< Network::reset wall time per shard
+  double reset_seconds = 0.0;      ///< Network::reset wall time per worker
   double warmup_seconds = 0.0;     ///< phase wall time, summed over points
   double measure_seconds = 0.0;
   double drain_seconds = 0.0;
@@ -163,33 +163,19 @@ RunRecord prepare_sweep_record(const NetSetup& setup,
                                const std::string& label,
                                const sim::Workload* workload = nullptr);
 
-/// Simulates the strided shard {offset, offset+stride, ...} of `loads` on
-/// the calling thread, reusing ONE Network via reset() across its points.
-/// Writes points[i] for exactly the indices it owns (points must already
-/// have loads.size() entries) and folds this shard's perf counters.
-/// `timeout_seconds` > 0 bounds the shard's wall time approximately: the
-/// first owned point always runs, later points are abandoned (left at
-/// their zero defaults) once the deadline passes and counters.timed_out
-/// is raised.
-void run_sweep_shard(const NetSetup& setup,
-                     const sim::RoutingAlgorithm& routing,
-                     const sim::TrafficPattern& pattern,
-                     const sim::SimConfig& config,
-                     const std::vector<double>& loads, std::size_t offset,
-                     std::size_t stride, std::vector<RunPoint>& points,
-                     SweepCounters& counters, double timeout_seconds = 0.0,
-                     const sim::Workload* workload = nullptr);
-
-/// Like run_sweep_shard, but the set of points this worker simulates is
-/// drawn dynamically from `claim` (typically an atomic cursor shared by
-/// every worker attached to the sweep) instead of a fixed stride —
-/// workers that join a sweep late just start claiming. `claim` returns
-/// the next unclaimed point index, or any value >= loads.size() when the
-/// sweep is exhausted. Point values stay bit-identical however claims
+/// Simulates the points of `loads` this worker draws from `claim` on the
+/// calling thread, reusing ONE Network via reset() across them. `claim`
+/// (typically an atomic cursor shared by every worker attached to the
+/// sweep) returns the next unclaimed point index, or any value >=
+/// loads.size() when the sweep is exhausted — workers that join a sweep
+/// late just start claiming. Writes points[i] for exactly the indices it
+/// claims (points must already have loads.size() entries) and folds its
+/// perf counters. Point values stay bit-identical however claims
 /// interleave: each point runs on a Network reset to exactly that load,
 /// and every counter merges order-independently. The first claimed point
-/// always runs; later claims are abandoned once `timeout_seconds` (from
-/// this call) expires, raising counters.timed_out.
+/// always runs; later claims are abandoned (left at their zero defaults)
+/// once `timeout_seconds` (from this call) expires, raising
+/// counters.timed_out.
 void run_sweep_claimed(const NetSetup& setup,
                        const sim::RoutingAlgorithm& routing,
                        const sim::TrafficPattern& pattern,
@@ -207,11 +193,11 @@ void run_sweep_claimed(const NetSetup& setup,
 void finish_sweep_record(RunRecord& record, const SweepCounters& counters,
                          double wall_seconds);
 
-/// Sweeps the given loads. Points are simulated in parallel on the shared
-/// pool; each worker reuses one Network via reset(). A non-null
-/// `workload` switches every point into workload mode: the network runs
-/// the workload to completion (or its cycle budget) and the points carry
-/// completion-time accounting.
+/// Sweeps the given loads: run_sweep_claimed on min(loads, pool threads)
+/// workers drawing from one cursor; each worker reuses one Network via
+/// reset(). A non-null `workload` switches every point into workload
+/// mode: the network runs the workload to completion (or its cycle
+/// budget) and the points carry completion-time accounting.
 RunRecord run_sweep(const NetSetup& setup,
                     const sim::RoutingAlgorithm& routing,
                     const sim::TrafficPattern& pattern,

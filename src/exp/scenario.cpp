@@ -5,31 +5,10 @@
 #include <stdexcept>
 
 #include "sim/workload.hpp"
-#include "topo/dragonfly.hpp"
-#include "topo/jellyfish.hpp"
-#include "topo/slimfly.hpp"
 #include "util/rng.hpp"
 
 namespace pf::exp {
 namespace {
-
-/// FNV-1a over the CSR adjacency: a cheap exact fingerprint so oracle
-/// cache keys distinguish same-label graphs (e.g. Jellyfish seeds).
-std::uint64_t graph_fingerprint(const graph::Graph& g) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 0x100000001b3ULL;
-  };
-  mix(static_cast<std::uint64_t>(g.num_vertices()));
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    mix(static_cast<std::uint64_t>(g.degree(v)));
-    for (const std::int32_t u : g.neighbors(v)) {
-      mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)));
-    }
-  }
-  return h;
-}
 
 std::string join_kinds(const std::vector<std::string>& kinds) {
   std::string out;
@@ -163,11 +142,14 @@ std::string FailureSchedule::canonical() const {
     if (!out.empty()) out += ',';
     out += part;
   };
+  // Single-character separators are appended on their own: GCC 12
+  // misreports -Wrestrict on `"@" + std::to_string(...)` once inlined.
   for (const auto& ev : events) {
     std::string part =
         ev.kind == "link_up" ? "up" : (ev.kind == "router_down" ? "rdown"
                                                                 : "down");
-    part += "@" + std::to_string(ev.at) + "=";
+    part += '@';
+    part += std::to_string(ev.at) + "=";
     if (ev.kind == "router_down") {
       part += std::to_string(ev.router);
     } else {
@@ -188,11 +170,15 @@ std::string FailureSchedule::canonical() const {
       }
       part += buf;
     }
-    part += "@" + std::to_string(flap.seed) + "+" +
-            std::to_string(flap.down_at);
-    if (flap.up_after > 0) part += "/" + std::to_string(flap.up_after);
+    part += '@';
+    part += std::to_string(flap.seed) + "+" + std::to_string(flap.down_at);
+    if (flap.up_after > 0) {
+      part += '/';
+      part += std::to_string(flap.up_after);
+    }
     if (flap.repeats > 1) {
-      part += "x" + std::to_string(flap.repeats) + "p" +
+      part += 'x';
+      part += std::to_string(flap.repeats) + "p" +
               std::to_string(flap.period);
     }
     append(part);
@@ -389,23 +375,6 @@ std::unique_ptr<sim::TrafficPattern> make_pattern(const NetSetup& setup,
                               join_kinds(pattern_kinds()) + ")");
 }
 
-NetSetup make_setup(const topo::TopologyInstance& inst, int p,
-                    const std::string& name) {
-  NetSetup setup;
-  setup.name = name.empty() ? inst.label : name;
-  setup.graph = inst.graph;
-  setup.endpoints = inst.endpoints(p);
-  setup.fattree = inst.fattree;
-  setup.polarfly = inst.polarfly;
-  char fp[24];
-  std::snprintf(fp, sizeof(fp), "#%016llx",
-                static_cast<unsigned long long>(
-                    graph_fingerprint(setup.graph)));
-  setup.oracle = ScenarioRegistry::shared().oracle(inst.label + fp,
-                                                   setup.graph, inst.polarfly);
-  return setup;
-}
-
 NetSetup make_graph_setup(std::string name, graph::Graph g, int p) {
   NetSetup setup;
   setup.name = std::move(name);
@@ -414,65 +383,6 @@ NetSetup make_graph_setup(std::string name, graph::Graph g, int p) {
       sim::uniform_endpoints(setup.graph.num_vertices(), p);
   setup.oracle = std::make_shared<sim::DistanceOracle>(setup.graph);
   return setup;
-}
-
-NetSetup make_polarfly_setup(std::uint32_t q, int p,
-                             const std::string& name) {
-  auto setup = *ScenarioRegistry::shared().topology(
-      "polarfly:q=" + std::to_string(q) + ",p=" + std::to_string(p));
-  setup.name = name;
-  return setup;
-}
-
-NetSetup make_slimfly_setup(std::uint32_t q, int p) {
-  auto setup = *ScenarioRegistry::shared().topology(
-      "slimfly:q=" + std::to_string(q) + ",p=" + std::to_string(p));
-  setup.name = "SF";
-  return setup;
-}
-
-NetSetup make_dragonfly_setup(int a, int h, int p, const std::string& name) {
-  auto setup = *ScenarioRegistry::shared().topology(
-      "dragonfly:a=" + std::to_string(a) + ",h=" + std::to_string(h) +
-      ",p=" + std::to_string(p));
-  setup.name = name;
-  return setup;
-}
-
-NetSetup make_jellyfish_setup(int n, int k, int p, std::uint64_t seed) {
-  auto setup = *ScenarioRegistry::shared().topology(
-      "jellyfish:n=" + std::to_string(n) + ",k=" + std::to_string(k) +
-      ",p=" + std::to_string(p) + ",seed=" + std::to_string(seed));
-  setup.name = "JF";
-  return setup;
-}
-
-NetSetup make_fattree_setup(int levels, int arity) {
-  auto setup = *ScenarioRegistry::shared().topology(
-      "fattree:levels=" + std::to_string(levels) +
-      ",arity=" + std::to_string(arity) + ",p=" + std::to_string(arity));
-  setup.name = "FT";
-  return setup;
-}
-
-std::vector<NetSetup> make_table5_setups(bool full_scale) {
-  std::vector<NetSetup> setups;
-  if (full_scale) {
-    setups.push_back(make_polarfly_setup(31, 16));        // 993 @ 32
-    setups.push_back(make_slimfly_setup(23, 18));         // 1058 @ 35
-    setups.push_back(make_dragonfly_setup(12, 6, 6, "DF1"));   // 876 @ 17
-    setups.push_back(make_dragonfly_setup(6, 27, 10, "DF2"));  // 978 @ 32
-    setups.push_back(make_jellyfish_setup(993, 32, 16));  // 993 @ 32
-    setups.push_back(make_fattree_setup(3, 18));          // 972 switches
-  } else {
-    setups.push_back(make_polarfly_setup(13, 7));         // 183 @ 14
-    setups.push_back(make_slimfly_setup(11, 8));          // 242 @ 16
-    setups.push_back(make_dragonfly_setup(6, 3, 3, "DF1"));    // 114 @ 8
-    setups.push_back(make_dragonfly_setup(4, 11, 5, "DF2"));   // 180 @ 14
-    setups.push_back(make_jellyfish_setup(183, 14, 7));   // 183 @ 14
-    setups.push_back(make_fattree_setup(3, 6));           // 108 switches
-  }
-  return setups;
 }
 
 std::shared_ptr<const NetSetup> ScenarioRegistry::topology(
@@ -492,9 +402,17 @@ std::shared_ptr<const NetSetup> ScenarioRegistry::topology(
   // Build outside the lock (construction may parallel_for internally);
   // a racing duplicate build is wasted work, not an error.
   const int p = topo::extract_endpoints(parsed);
-  const auto inst = topo::make_topology(parsed.family, parsed.params);
-  auto setup = std::make_shared<NetSetup>(
-      make_setup(inst, p > 0 ? p : inst.default_concentration()));
+  auto inst = topo::make_topology(parsed.family, parsed.params);
+  auto setup = std::make_shared<NetSetup>();
+  setup->name = inst.label;
+  setup->endpoints = inst.endpoints(p > 0 ? p : inst.default_concentration());
+  setup->graph = std::move(inst.graph);
+  setup->fattree = std::move(inst.fattree);
+  setup->polarfly = inst.polarfly;
+  // With p= taken out the canonical spec names the graph alone, so
+  // setups that differ only in endpoints share one oracle.
+  setup->oracle = oracle(topo::canonical_spec(parsed), setup->graph,
+                         std::move(inst.polarfly));
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = topologies_.emplace(key, std::move(setup));

@@ -1,12 +1,12 @@
 // The scenario layer of the experiment engine: every evaluation in the
 // paper is a {topology, routing, traffic} triple swept over offered load.
-// This header owns the NetSetup bundle, the make_*_setup topology
-// factories, and the string-keyed routing / traffic factories, plus a
-// ScenarioRegistry that caches topologies (and their DistanceOracles, the
-// expensive part off intact PolarFly) by spec string so every sweep point
-// and every routing over the same topology shares one oracle, and
-// compiled workloads so every routing over the same workload shares one
-// send table.
+// This header owns the NetSetup bundle and the string-keyed routing /
+// traffic factories, plus a ScenarioRegistry that builds setups from
+// topology spec strings and caches them (and their DistanceOracles, the
+// expensive part off intact PolarFly) so every sweep point and every
+// routing over the same topology shares one oracle, and compiled
+// workloads so every routing over the same workload shares one send
+// table.
 #pragma once
 
 #include <map>
@@ -77,28 +77,12 @@ const std::vector<std::string>& pattern_kinds();
 /// (randperm/perm1hop/perm2hop) — callers record it for reproducibility.
 bool pattern_uses_seed(const std::string& kind);
 
-// ---- topology factories (Tab. V and friends) ----------------------------
-
-/// Wraps a registry TopologyInstance: p endpoints per router (fat trees:
-/// per leaf switch), oracle shared through the ScenarioRegistry cache
-/// (the algebraic one when the instance carries a PolarFly).
-NetSetup make_setup(const topo::TopologyInstance& inst, int p,
-                    const std::string& name = "");
+// ---- ad-hoc setups ------------------------------------------------------
 
 /// A setup over an ad-hoc graph (damaged, expanded, ...). The oracle is
-/// computed fresh — ad-hoc graphs are not cached.
+/// computed fresh — ad-hoc graphs are not cached. Every topology a spec
+/// string names goes through ScenarioRegistry::topology instead.
 NetSetup make_graph_setup(std::string name, graph::Graph g, int p);
-
-NetSetup make_polarfly_setup(std::uint32_t q, int p,
-                             const std::string& name = "PF");
-NetSetup make_slimfly_setup(std::uint32_t q, int p);
-NetSetup make_dragonfly_setup(int a, int h, int p, const std::string& name);
-NetSetup make_jellyfish_setup(int n, int k, int p,
-                              std::uint64_t seed = 0xf15eULL);
-NetSetup make_fattree_setup(int levels, int arity);
-
-/// The Tab. V configuration set (or its reduced-scale twin).
-std::vector<NetSetup> make_table5_setups(bool full_scale);
 
 // ---- failure specs -------------------------------------------------------
 
@@ -228,7 +212,10 @@ struct Scenario {
 class ScenarioRegistry {
  public:
   /// Parses a topology spec (see ScenarioSpec::topology), constructing and
-  /// caching the setup — repeated calls share one graph and one oracle.
+  /// caching the setup: p endpoints per router (fat trees: per leaf
+  /// switch), named by the instance label. Repeated calls share one setup;
+  /// specs that differ only in p= share one oracle (the algebraic one
+  /// when the instance carries a PolarFly).
   std::shared_ptr<const NetSetup> topology(const std::string& spec);
 
   /// The damaged variant: the base setup is built (and cached) intact,
@@ -256,7 +243,8 @@ class ScenarioRegistry {
   /// oracles stay). Returns the number of entries evicted.
   std::size_t evict_damaged();
 
-  /// The process-wide registry the factories above share oracles through.
+  /// The process-wide registry every surface (pf_sim, suites, benches)
+  /// shares setups and oracles through.
   static ScenarioRegistry& shared();
 
  private:

@@ -698,7 +698,7 @@ std::size_t SuiteRunner::run(const Suite& suite, ResultLog& log,
 
     if (!schedule_.parallel || runnable <= 1) {
       // Serial scheduler: one case at a time, each case parallelizing
-      // internally across the whole pool (run_sweep's own sharding).
+      // internally across the whole pool (run_sweep's own claim cursor).
       // Skipped/resumed cases emit their phase-1 records in place.
       for (std::size_t i = 0; i < total; ++i) {
         if (states[i].skip || states[i].resumed) {

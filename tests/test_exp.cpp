@@ -34,10 +34,12 @@ TEST(ScenarioRegistry, CachesTopologiesAndOracles) {
   EXPECT_EQ(a->oracle->diameter(), 2);
   EXPECT_NE(a->polarfly, nullptr);
 
-  // The factory path shares the oracle with the registry cache.
-  const auto setup = exp::make_polarfly_setup(5, 3);
-  EXPECT_EQ(setup.oracle.get(), a->oracle.get());
-  EXPECT_EQ(setup.name, "PF");
+  // The oracle is keyed by the graph alone: a setup that differs only in
+  // endpoints per router shares it, another graph does not.
+  const auto p2 = registry.topology("pf:q=5,p=2");
+  EXPECT_NE(p2.get(), a.get());
+  EXPECT_EQ(p2->oracle.get(), a->oracle.get());
+  EXPECT_NE(registry.topology("pf:q=7,p=3")->oracle.get(), a->oracle.get());
 
   EXPECT_THROW(registry.topology("pf:q=banana"), std::invalid_argument);
   EXPECT_THROW(registry.topology("nosuchfamily:q=3"),
@@ -77,7 +79,7 @@ TEST(ScenarioRegistry, MakeResolvesSpecs) {
 }
 
 TEST(ScenarioFactories, RoutingErrorsNameTheKnownKinds) {
-  const auto setup = exp::make_polarfly_setup(5, 3);
+  const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
   try {
     exp::make_routing(setup, "BOGUS");
     FAIL() << "expected std::invalid_argument";
@@ -97,7 +99,7 @@ TEST(ScenarioFactories, RoutingErrorsNameTheKnownKinds) {
 }
 
 TEST(ScenarioFactories, UgalThresholdIsParameterized) {
-  const auto setup = exp::make_polarfly_setup(5, 3);
+  const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
   const auto pattern = exp::make_pattern(setup, "uniform", 0);
   const auto config = quick_config();
   const auto point = [&](const sim::RoutingAlgorithm& routing) {
@@ -120,7 +122,7 @@ TEST(ScenarioFactories, UgalThresholdIsParameterized) {
 }
 
 TEST(Engine, SweepMatchesLegacyHarnessBitExactly) {
-  const auto setup = exp::make_polarfly_setup(5, 3);
+  const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
   const auto routing = exp::make_routing(setup, "UGALPF");
   const auto pattern = exp::make_pattern(setup, "uniform", 0);
   const auto config = quick_config();
@@ -145,7 +147,7 @@ TEST(Engine, SweepMatchesLegacyHarnessBitExactly) {
 }
 
 TEST(Engine, SaturationSearchBracketsThePlateau) {
-  const auto setup = exp::make_polarfly_setup(5, 3);
+  const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
   const auto routing = exp::make_routing(setup, "MIN");
   const auto pattern = exp::make_pattern(setup, "uniform", 0);
   const auto run = exp::saturation_search(setup, *routing, *pattern,
@@ -159,7 +161,7 @@ TEST(Engine, SaturationSearchBracketsThePlateau) {
 }
 
 TEST(Results, JsonIsStructurallySound) {
-  const auto setup = exp::make_polarfly_setup(5, 3);
+  const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
   const auto routing = exp::make_routing(setup, "MIN");
   const auto pattern = exp::make_pattern(setup, "uniform", 0);
   auto run = exp::run_sweep(setup, *routing, *pattern, quick_config(),

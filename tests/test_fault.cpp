@@ -35,7 +35,8 @@ exp::RunRecord run_case(const exp::ScenarioSpec& spec, double load = 0.3) {
 /// any router.
 std::vector<exp::FailureSchedule::Event> dragonfly_group_cut(
     std::int64_t at) {
-  const exp::NetSetup setup = exp::make_dragonfly_setup(2, 1, 2, "df");
+  const exp::NetSetup setup =
+      *exp::ScenarioRegistry::shared().topology("df:a=2,h=1,p=2");
   std::vector<exp::FailureSchedule::Event> cut;
   for (const int u : {0, 1}) {
     const auto row = setup.graph.neighbors(u);
@@ -113,7 +114,8 @@ TEST(FailureSchedule, FlapsExpandDeterministically) {
 
 /// The message compile() throws for a schedule with this one flap.
 std::string flap_refusal(const exp::FailureSchedule::Flap& flap) {
-  const exp::NetSetup setup = exp::make_polarfly_setup(3, 1);
+  const exp::NetSetup setup =
+      *exp::ScenarioRegistry::shared().topology("pf:q=3,p=1");
   exp::FailureSchedule schedule;
   schedule.flaps.push_back(flap);
   try {

@@ -409,7 +409,8 @@ TEST(Oracle, MinMeanHopsMatchesClosedForm) {
   // sqrt(Var(hops) / delivered); the bound is 5 of them.
   for (const std::uint32_t q : {7u, 13u}) {
     const int p = static_cast<int>(q + 1) / 2;
-    const auto setup = exp::make_polarfly_setup(q, p);
+    const auto setup = *exp::ScenarioRegistry::shared().topology(
+        "pf:q=" + std::to_string(q) + ",p=" + std::to_string(p));
     const sim::MinimalRouting routing(setup.graph, *setup.oracle);
     const sim::UniformTraffic pattern(setup.terminals());
     sim::SimConfig config;
@@ -577,7 +578,7 @@ TEST(Simulator, LowLoadDelivers) {
 }
 
 TEST(Simulator, SweepFindsSaturation) {
-  const auto setup = exp::make_polarfly_setup(5, 3);
+  const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
   const sim::MinimalRouting routing(setup.graph, *setup.oracle);
   const sim::UniformTraffic pattern(setup.terminals());
   sim::SimConfig config;

@@ -610,7 +610,8 @@ TEST(SuiteRunner, SkipsDisconnectedDamage) {
   // routers). The case is skipped, reported via the return count, AND
   // still emits a placeholder record carrying its identity and status so
   // key/diff gates see every case.
-  const exp::NetSetup df = exp::make_dragonfly_setup(2, 1, 2, "df");
+  const exp::NetSetup df =
+      *exp::ScenarioRegistry::shared().topology("df:a=2,h=1,p=2");
   std::string cut;
   for (const int u : {0, 1}) {
     for (const std::int32_t v : df.graph.neighbors(u)) {
@@ -726,7 +727,8 @@ TEST(SuiteRunner, ParallelSchedulerSkipsAndKeepsOrder) {
   // Case 1 disconnects a whole dragonfly group (skip); cases 0 and 2
   // run. The parallel scheduler must keep document order, report one
   // skip, and emit the skipped case's placeholder in its slot.
-  const exp::NetSetup df = exp::make_dragonfly_setup(2, 1, 2, "df");
+  const exp::NetSetup df =
+      *exp::ScenarioRegistry::shared().topology("df:a=2,h=1,p=2");
   std::string cut;
   for (const int u : {0, 1}) {
     for (const std::int32_t v : df.graph.neighbors(u)) {
