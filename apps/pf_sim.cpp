@@ -5,24 +5,13 @@
 // through the same SuiteRunner and writes the same record.
 //
 //   pf_sim --topology pf --q 13 --routing UGALPF --pattern uniform
-//          --loads 0.1:1.0:8 [--endpoints P] [--packet-size 4] [--vcs 16]
-//          [--buf 256] [--warmup C] [--measure C] [--drain C] [--seed S]
-//          [--ugal-threshold X] [--json PATH] [--csv PATH]
-//   pf_sim ... --saturation-search [--sat-lo 0.05] [--sat-hi 1.0]
-//          [--sat-tol 0.02] [--sat-iters 10]
-//   pf_sim ... --telemetry [--telemetry-window C] [--trace PATH
-//          [--trace-sample F] [--trace-seed S]]
-//   pf_sim ... --workload SPEC [--workload-out PATH]   (replay with
-//          --workload trace:file=PATH)
-//   pf_sim suite <file.json> [--json PATH|-] [--quiet] [--serial]
-//          [--case-workers N] [--checkpoint PATH [--resume]]
-//          [--progress [SECS]] [--telemetry]
-//   pf_sim diff <baseline.json> <candidate.json> [--rtol R] [--atol A]
-//          [--junit PATH]
-//   pf_sim report <records.json> [--top N]
+//          --loads 0.1:1.0:8 [settings] [--json PATH] [--csv PATH]
+//   pf_sim ... --saturation-search | --workload SPEC | --trace PATH
+//   pf_sim suite <file.json> | diff <a.json> <b.json> | report <r.json>
 //
-// Patterns: uniform | tornado | randperm | perm1hop | perm2hop | bitcomp
-// Routing:  MIN | VAL | CVAL | UGAL | UGALPF | NCA (fat tree) | ALG (PF)
+// `pf_sim` alone prints every option. The settings (--warmup, --seed,
+// --engine, ...) are the rows of exp/settings.hpp's table, which also
+// reads their suite keys.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -40,6 +29,7 @@
 #include "exp/engine.hpp"
 #include "exp/results.hpp"
 #include "exp/scenario.hpp"
+#include "exp/settings.hpp"
 #include "exp/suite.hpp"
 #include "sim/deadlock.hpp"
 #include "sim/network.hpp"
@@ -54,11 +44,15 @@
 namespace pf::apps {
 namespace {
 
-// Integer options are range-checked before narrowing, with the bounds the
-// suite reader applies to the same fields (exp/suite.cpp); seeds refuse
-// negatives like JsonValue::as_uint.
 constexpr int kIntMax = std::numeric_limits<int>::max();
-constexpr std::int64_t kSeedMax = std::numeric_limits<std::int64_t>::max();
+
+/// The single run's starting case: SuiteCase{}, except that a traced run
+/// samples every packet unless told otherwise.
+exp::SuiteCase single_run_defaults() {
+  exp::SuiteCase cs;
+  cs.spec.config.telemetry.trace_sample = 1.0;
+  return cs;
+}
 
 void usage_suite(std::FILE* f) {
   std::fputs(
@@ -80,13 +74,8 @@ void usage_suite(std::FILE* f) {
       "  --progress [SECS] heartbeat on stderr every SECS (default 2)\n"
       "                   seconds: finished/total cases, elapsed, ETA —\n"
       "                   plus the realized per-case schedule at the end\n"
-      "  --telemetry      force-enable congestion/latency telemetry on\n"
-      "                   every case (suites can also set it per case via\n"
-      "                   config.telemetry)\n"
-      "  --engine E       force the router visit policy (event|cycle) on\n"
-      "                   every case, overriding config.engine — the two\n"
-      "                   are bit-identical (the ctest gates run suites\n"
-      "                   under both and diff at rtol 0)\n",
+      "  --telemetry, --engine E  force that setting onto every case, over\n"
+      "                   the suite's config (see `pf_sim` for both)\n",
       f);
 }
 
@@ -145,44 +134,29 @@ int usage() {
       "       summarize a --trace packet event log: event counts,\n"
       "       inter-event cycle gaps, hottest routers\n"
       "\n"
-      "options:\n"
-      "  --endpoints N    endpoints per router, the spec's p= (default:\n"
-      "                   radix/2 balanced)\n"
-      "  --packet-size N  flits per packet (default 4)\n"
-      "  --vcs N          virtual channels per port (default 16)\n"
-      "  --buf N          flit buffer per port (default 256)\n"
-      "  --warmup/--measure/--drain C   phase lengths in cycles\n"
-      "  --seed S         simulation seed (default 42)\n"
-      "  --engine E       router visit policy: event (default; skips idle\n"
-      "                   cycles wholesale) or cycle (reference: every\n"
-      "                   backlogged router, every cycle) — bit-identical\n"
-      "                   statistics either way\n"
-      "  --ugal-threshold X  UGAL adaptivity gate (default: kind's paper\n"
-      "                   value — UGAL 0, UGALPF 2/3)\n"
-      "  --json PATH      write the run as a polarfly-run/1 JSON record\n"
-      "  --csv PATH       also write the sweep as CSV\n"
-      "  --saturation-search  bisect the accepted-load plateau instead of\n"
-      "                   a fixed grid [--sat-lo L] [--sat-hi H]\n"
-      "                   [--sat-tol T] [--sat-iters N]\n"
-      "  --telemetry      per-point latency/hop histograms with exact\n"
-      "                   percentiles, per-link utilization series, VC\n"
-      "                   occupancy and peak backlog (off by default;\n"
-      "                   [--telemetry-window C] sets the series window)\n"
-      "  --trace PATH     sampled packet event trace as JSONL (implies\n"
-      "                   --telemetry) [--trace-sample F (default 1.0)]\n"
-      "                   [--trace-seed S]\n"
-      "  --workload SPEC  run a dependency-aware application workload\n"
-      "                   instead of Bernoulli traffic: alltoall,\n"
-      "                   ring_allreduce, rd_allreduce, stencil2d,\n"
-      "                   stencil3d, bursty, hotspot, incast, or\n"
-      "                   trace:file=PATH (replay a captured trace);\n"
-      "                   params attach as key=value, e.g.\n"
-      "                   \"alltoall:packets=2\"\n"
-      "  --workload-out PATH  capture the compiled workload as a\n"
-      "                   polarfly-trace/1 JSONL file for replay\n"
-      "  --check-deadlock verify the routing's channel-dependency graph\n"
-      "                   is acyclic instead of simulating\n"
-      "                   [--classes N] [--samples S]\n"
+      "options (docs/suite-format.md gives the settings' suite keys):\n"
+      "  --endpoints N          endpoints per router, the spec's p=\n"
+      "                         (default: radix/2 balanced)\n");
+  exp::settings::print_help(stdout, single_run_defaults());
+  std::printf(
+      "  --json PATH            write the run as a polarfly-run/1 record\n"
+      "  --csv PATH             also write the sweep as CSV\n"
+      "  --saturation-search    bisect the accepted-load plateau instead\n"
+      "                         of a fixed grid (--sat-lo/hi/tol/iters)\n"
+      "  --trace PATH           sampled packet event trace as JSONL\n"
+      "                         (implies --telemetry)\n"
+      "  --workload SPEC        run an application workload instead of\n"
+      "                         Bernoulli traffic: alltoall,\n"
+      "                         ring_allreduce, rd_allreduce, stencil2d,\n"
+      "                         stencil3d, bursty, hotspot, incast, or\n"
+      "                         trace:file=PATH (replay a captured\n"
+      "                         trace); params attach as key=value,\n"
+      "                         e.g. \"alltoall:packets=2\"\n"
+      "  --workload-out PATH    capture the compiled workload as a\n"
+      "                         polarfly-trace/1 JSONL file for replay\n"
+      "  --check-deadlock       verify the routing's channel-dependency\n"
+      "                         graph is acyclic instead of simulating\n"
+      "                         [--classes N] [--samples S]\n"
       "\n"
       "routing: MIN VAL CVAL UGAL UGALPF NCA(fattree) ALG(polarfly)\n"
       "patterns: uniform tornado randperm perm1hop perm2hop bitcomp\n"
@@ -247,6 +221,15 @@ exp::RunDocument load_run_document(const std::string& path,
   }
 }
 
+/// Writes the records as one polarfly-run/1 document to `path` ("-" =
+/// stdout) unless it is empty; 1 when that fails.
+int write_document(const std::string& path, const exp::ResultLog& log,
+                   const char* tool) {
+  if (path.empty() || exp::write_json(path, log.records(), tool)) return 0;
+  std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
+  return 1;
+}
+
 /// `pf_sim suite <file.json>`: load, expand, run, print — and emit the
 /// whole suite as one polarfly-run/1 document via --json (PATH or "-").
 int run_suite(const util::CliArgs& args) {
@@ -284,28 +267,16 @@ int run_suite(const util::CliArgs& args) {
   schedule.workers_per_case = args.integer_in("case-workers", 0, 0, kIntMax);
   // Bare --progress takes the default cadence; --progress SECS tunes it.
   if (args.has("progress")) {
-    schedule.progress_seconds = args.real_or("progress", 2.0);
+    schedule.progress_seconds =
+        args.bare("progress") ? 2.0 : args.real("progress");
     if (schedule.progress_seconds <= 0.0) schedule.progress_seconds = 2.0;
   }
-  // --telemetry lights up every case, on top of whatever the suite's own
-  // config.telemetry blocks say (their window/top-k knobs are kept).
-  if (args.has("telemetry")) {
-    for (exp::SuiteCase& cs : suite.cases) {
-      cs.spec.config.telemetry.enabled = true;
-    }
-  }
-  // --engine overrides config.engine on every case; results must be
-  // identical either way, so this only selects the visit policy.
-  if (args.has("engine")) {
-    sim::SimEngine engine = sim::SimEngine::Event;
-    if (!sim::parse_engine(args.str("engine"), engine)) {
-      std::fprintf(stderr, "pf_sim suite: unknown engine '%s' (event/cycle)\n",
-                   args.str("engine").c_str());
-      return 2;
-    }
-    for (exp::SuiteCase& cs : suite.cases) {
-      cs.spec.config.engine = engine;
-    }
+  // --telemetry and --engine override every case's config, on top of
+  // what the suite says (a telemetry block's window/top-k knobs are
+  // kept). The engines give identical results, so --engine only selects
+  // the visit policy.
+  for (exp::SuiteCase& cs : suite.cases) {
+    exp::settings::read_cli(args, cs, {"telemetry", "engine"});
   }
 
   const std::string checkpoint = args.str_or("checkpoint", "");
@@ -393,7 +364,7 @@ int run_suite(const util::CliArgs& args) {
   if (skipped > 0) {
     std::fprintf(stderr, "suite: %zu case(s) skipped\n", skipped);
   }
-  return exp::finish(args, log, "pf_sim suite");
+  return write_document(json_path, log, "pf_sim suite");
 }
 
 /// `pf_sim diff <baseline> <candidate>`: the trajectory regression gate.
@@ -701,67 +672,46 @@ int run_trace_stats(const util::CliArgs& args) {
 /// write the same record. --check-deadlock and --workload-out resolve the
 /// same Scenario for the CLI-only work they add.
 int run_single(const util::CliArgs& args) {
-  exp::SuiteCase cs;
+  exp::SuiteCase cs = single_run_defaults();
   topo::TopologySpec topology = topology_from_args(args);
   // --endpoints is the spec's p= (and wins over it when both are given).
   if (args.has("endpoints")) {
     topology.params["p"] = args.integer_in("endpoints", 1, kIntMax);
   }
   cs.spec.topology = topo::canonical_spec(topology);
+  exp::settings::read_cli(args, cs);
 
   sim::SimConfig& config = cs.spec.config;
-  config.packet_size =
-      args.integer_in("packet-size", config.packet_size, 1, kIntMax);
-  config.vcs = args.integer_in("vcs", config.vcs, 1, kIntMax);
-  config.buf_per_port = args.integer_in("buf", config.buf_per_port, 1, kIntMax);
-  config.warmup_cycles =
-      args.integer_in("warmup", config.warmup_cycles, 0, kIntMax);
-  config.measure_cycles =
-      args.integer_in("measure", config.measure_cycles, 0, kIntMax);
-  config.drain_cycles =
-      args.integer_in("drain", config.drain_cycles, 0, kIntMax);
-  config.seed = static_cast<std::uint64_t>(args.integer_in<std::int64_t>(
-      "seed", static_cast<std::int64_t>(config.seed), 0, kSeedMax));
-  if (args.has("engine") &&
-      !sim::parse_engine(args.str("engine"), config.engine)) {
-    std::fprintf(stderr, "pf_sim: unknown engine '%s' (event/cycle)\n",
-                 args.str("engine").c_str());
-    return 2;
-  }
   // Telemetry is strictly additive: the simulated trajectory with it on
   // is bit-identical to a plain run. --trace implies --telemetry (the
   // sampler lives in the collector).
-  const bool trace = args.has("trace");
-  config.telemetry.enabled = args.has("telemetry") || trace;
-  config.telemetry.window_cycles = args.integer_in(
-      "telemetry-window", config.telemetry.window_cycles, 1, kIntMax);
   const std::string trace_path = args.str_or("trace", "");
-  // A traced run samples every packet unless told otherwise.
-  config.telemetry.trace_sample = args.real_or("trace-sample", 1.0);
-  config.telemetry.trace_seed = static_cast<std::uint64_t>(
-      args.integer_in<std::int64_t>("trace-seed", 0, 0, kSeedMax));
+  if (!trace_path.empty()) config.telemetry.enabled = true;
 
   cs.spec.routing = args.str_or("routing", cs.spec.routing);
   cs.spec.pattern = args.str_or("pattern", cs.spec.pattern);
   // --workload switches the run into workload mode: the pattern then only
   // provides the terminal -> router map (leave it at the default uniform).
   cs.spec.workload = args.str_or("workload", "");
-  if (args.has("ugal-threshold")) {
-    cs.spec.routing_options.ugal_threshold = args.real("ugal-threshold");
-    if (cs.spec.routing != "UGAL" && cs.spec.routing != "UGALPF") {
-      std::fprintf(stderr,
-                   "warning: --ugal-threshold has no effect on routing %s\n",
-                   cs.spec.routing.c_str());
-    }
+  if (cs.spec.routing_options.ugal_threshold >= 0.0 &&
+      cs.spec.routing != "UGAL" && cs.spec.routing != "UGALPF") {
+    std::fprintf(stderr,
+                 "warning: --ugal-threshold has no effect on routing %s\n",
+                 cs.spec.routing.c_str());
   }
   cs.saturation = args.has("saturation-search");
-  cs.sat_lo = args.real_or("sat-lo", cs.sat_lo);
-  cs.sat_hi = args.real_or("sat-hi", cs.sat_hi);
-  cs.sat_tol = args.real_or("sat-tol", cs.sat_tol);
-  cs.sat_iters = args.integer_in("sat-iters", cs.sat_iters, 1, kIntMax);
   const double load = args.real_or("load", 0.5);
-  cs.loads = args.has("loads") ? util::parse_range(args.str("loads"))
-                               : std::vector<double>{load};
+  const bool grid = args.has("loads");
+  cs.loads = grid ? util::parse_range(args.str("loads"))
+                  : std::vector<double>{load};
+  for (const double offered : cs.loads) {
+    const std::string why =
+        exp::settings::refusal(exp::settings::kLoad, offered);
+    if (!why.empty()) {
+      throw util::CliError(std::string("option --") +
+                           (grid ? "loads" : "load") + why);
+    }
+  }
 
   const bool check_deadlock = args.has("check-deadlock");
   const int classes =
@@ -771,7 +721,7 @@ int run_single(const util::CliArgs& args) {
   // JSONL file; replay it with --workload trace:file=PATH.
   const std::string workload_out = args.str_or("workload-out", "");
   const std::string csv = args.str_or("csv", "");
-  (void)args.has("json");  // written by exp::finish after the run
+  const std::string json_path = args.str_or("json", "");
   // Every legitimate option is queried by now: refuse typos before
   // anything is simulated or written.
   if (reject_stray_arguments(args, "pf_sim")) return 2;
@@ -871,7 +821,7 @@ int run_single(const util::CliArgs& args) {
     std::fprintf(stderr, "cannot write %s\n", csv.c_str());
     return 1;
   }
-  return exp::finish(args, log, "pf_sim");
+  return write_document(json_path, log, "pf_sim");
 }
 
 int run(int argc, char** argv) {

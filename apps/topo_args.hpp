@@ -25,9 +25,11 @@ inline topo::TopologySpec topology_from_args(const util::CliArgs& args) {
   for (const char* key :
        {"q", "a", "b", "h", "p", "n", "k", "d", "lift", "arity", "levels",
         "seed"}) {
-    if (!args.has(key)) continue;
-    // make_topology narrows every parameter but the 64-bit seed to int.
+    // Only jellyfish has a graph seed; elsewhere pf_sim's --seed is the
+    // simulation seed alone, with its full 64-bit range.
     const bool seed = std::string_view(key) == "seed";
+    if ((seed && spec.family != "jellyfish") || !args.has(key)) continue;
+    // make_topology narrows every parameter but the 64-bit seed to int.
     spec.params[key] = args.integer_in<std::int64_t>(
         key, 0,
         seed ? std::numeric_limits<std::int64_t>::max()

@@ -10,6 +10,17 @@
 namespace pf::exp {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+/// Whether a case budget of `timeout_seconds` (0 = none) has run out
+/// since `start`. Compared in double seconds: converting a huge budget
+/// to the clock's integer ticks would overflow.
+bool expired(Clock::time_point start, double timeout_seconds) {
+  return timeout_seconds > 0.0 &&
+         std::chrono::duration<double>(Clock::now() - start).count() >=
+             timeout_seconds;
+}
+
 /// Rewinds `net` to `load`, folding the reset's wall time into the
 /// counters — reset cost on many-point sweeps is a first-class perf
 /// signal (it used to dominate short measure windows).
@@ -96,8 +107,7 @@ void run_sweep_claimed(const NetSetup& setup,
                        const sim::Workload* workload) {
   std::size_t i = claim();
   if (i >= loads.size()) return;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
+  const auto start = Clock::now();
   sim::Network net(setup.graph, setup.endpoints, routing, pattern, config,
                    loads[i], workload);
   bool first = true;
@@ -106,8 +116,7 @@ void run_sweep_claimed(const NetSetup& setup,
     // ones are abandoned once the per-case budget is spent (they stay
     // claimed, left at their zero defaults — the record is stamped
     // "timeout" either way).
-    if (!first && timeout_seconds > 0.0 &&
-        std::chrono::steady_clock::now() >= deadline) {
+    if (!first && expired(start, timeout_seconds)) {
       counters.timed_out = true;
       return;
     }
@@ -212,15 +221,9 @@ RunRecord saturation_search(const NetSetup& setup,
       prepare_sweep_record(setup, routing, pattern, config, 0, label);
   SweepCounters counters;
 
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline =
-      start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(timeout_seconds));
-  const auto expired = [&] {
-    if (timeout_seconds <= 0.0 ||
-        std::chrono::steady_clock::now() < deadline) {
-      return false;
-    }
+  const auto start = Clock::now();
+  const auto out_of_time = [&] {
+    if (!expired(start, timeout_seconds)) return false;
     counters.timed_out = true;
     return true;
   };
@@ -242,7 +245,7 @@ RunRecord saturation_search(const NetSetup& setup,
   const RunPoint top = probe(hi);
   if (stable(top)) {
     record.saturation_estimate = top.accepted;
-  } else if (expired()) {
+  } else if (out_of_time()) {
     // Budget spent after one probe: report the best reading we have.
     record.saturation_estimate = top.accepted;
   } else {
@@ -253,7 +256,7 @@ RunRecord saturation_search(const NetSetup& setup,
       double stable_lo = lo, unstable_hi = hi;
       double plateau = bottom.accepted;
       for (int i = 0; i < max_iters && unstable_hi - stable_lo > tol &&
-                      !expired();
+                      !out_of_time();
            ++i) {
         const double mid = 0.5 * (stable_lo + unstable_hi);
         const RunPoint point = probe(mid);

@@ -220,16 +220,15 @@ RunRecord saturation_search(const NetSetup& setup,
                             const sim::RoutingAlgorithm& routing,
                             const sim::TrafficPattern& pattern,
                             const sim::SimConfig& config,
-                            const std::string& label, double lo = 0.05,
-                            double hi = 1.0, double tol = 0.02,
-                            int max_iters = 10,
+                            const std::string& label, double lo,
+                            double hi, double tol, int max_iters,
                             double timeout_seconds = 0.0);
 
 /// Scenario overload. Throws std::invalid_argument for workload
 /// scenarios: a workload runs to completion at any load, so there is no
 /// accepted-load plateau to bisect — sweep fixed loads instead.
-RunRecord saturation_search(const Scenario& scenario, double lo = 0.05,
-                            double hi = 1.0, double tol = 0.02,
-                            int max_iters = 10, double timeout_seconds = 0.0);
+RunRecord saturation_search(const Scenario& scenario, double lo, double hi,
+                            double tol, int max_iters,
+                            double timeout_seconds = 0.0);
 
 }  // namespace pf::exp

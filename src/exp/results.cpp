@@ -449,29 +449,4 @@ std::string record_key(const RunRecord& record) {
   return key;
 }
 
-bool ResultLog::maybe_write(const util::CliArgs& args,
-                            const std::string& tool) const {
-  if (!args.has("json")) return true;
-  const std::string path = args.str("json");
-  if (!write_json(path, records_, tool)) {
-    std::fprintf(stderr, "%s: cannot write %s\n", tool.c_str(),
-                 path.c_str());
-    return false;
-  }
-  return true;
-}
-
-int finish(const util::CliArgs& args, const ResultLog& log,
-           const std::string& tool) {
-  const bool ok = log.maybe_write(args, tool);
-  for (const auto& key : args.unused_keys()) {
-    std::fprintf(stderr, "warning: unused option --%s\n", key.c_str());
-  }
-  for (const auto& operand : args.unused_positionals()) {
-    std::fprintf(stderr, "warning: unused argument '%s'\n",
-                 operand.c_str());
-  }
-  return ok ? 0 : 1;
-}
-
 }  // namespace pf::exp

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exp/engine.hpp"
-#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -85,24 +84,14 @@ std::vector<RunRecord> load_checkpoint(const std::string& path);
 /// when every number moved.
 std::string record_key(const RunRecord& record);
 
-/// Collects the records a binary produces and handles its --json flag.
+/// Collects the records a run produces, in order.
 class ResultLog {
  public:
   void add(RunRecord record) { records_.push_back(std::move(record)); }
   const std::vector<RunRecord>& records() const { return records_; }
 
-  /// Writes the records to the --json path when the flag is present
-  /// ("-" streams to stdout; failures are reported on stderr); true when
-  /// there was nothing to do or the write succeeded.
-  bool maybe_write(const util::CliArgs& args, const std::string& tool) const;
-
  private:
   std::vector<RunRecord> records_;
 };
-
-/// Shared tail of every sweep binary's main(): write --json if requested,
-/// warn about unused flags, and turn I/O failures into a nonzero exit.
-int finish(const util::CliArgs& args, const ResultLog& log,
-           const std::string& tool);
 
 }  // namespace pf::exp

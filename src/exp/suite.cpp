@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "exp/settings.hpp"
 #include "sim/harness.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
@@ -22,16 +23,16 @@ namespace {
 using util::JsonValue;
 
 constexpr const char* kSuiteSchema = "polarfly-suite/1";
-constexpr int kIntMin = std::numeric_limits<int>::min();
 constexpr int kIntMax = std::numeric_limits<int>::max();
 
 [[noreturn]] void bad(const std::string& context, const std::string& what) {
   throw std::invalid_argument("suite " + context + ": " + what);
 }
 
-/// One entry's (or the defaults block's) merged state: every axis and
-/// knob a scenarios[] entry can set, pre-expansion.
+/// One entry's (or the defaults block's) merged state: the six axes, and
+/// one case holding every other key, which each expanded case copies.
 struct EntryState {
+  SuiteCase base;
   std::vector<std::string> topologies;
   std::vector<std::string> routings = {"MIN"};
   std::vector<std::string> patterns = {"uniform"};
@@ -41,16 +42,6 @@ struct EntryState {
   std::vector<std::string> workloads = {""};
   std::vector<FailureSpec> failures = {FailureSpec{}};
   std::vector<FailureSchedule> schedules = {FailureSchedule{}};
-  double timeout_seconds = 0.0;
-  std::vector<double> loads;
-  bool saturation = false;
-  double sat_lo = 0.05;
-  double sat_hi = 1.0;
-  double sat_tol = 0.02;
-  int sat_iters = 10;
-  sim::SimConfig config;
-  std::uint64_t pattern_seed = 0;
-  double ugal_threshold = -1.0;
 };
 
 std::vector<std::string> parse_string_axis(const JsonValue& value,
@@ -187,11 +178,21 @@ FailureSchedule parse_schedule(const JsonValue& value,
   return schedule;
 }
 
+double parse_load(const JsonValue& value, const std::string& path) {
+  const double load = value.as_double();
+  const std::string why = settings::refusal(settings::kLoad, load);
+  if (!why.empty()) throw util::JsonError(path + why);
+  return load;
+}
+
 std::vector<double> parse_loads(const JsonValue& value,
                                 const std::string& context) {
   if (value.is_array()) {
     std::vector<double> loads;
-    for (const auto& item : value.items()) loads.push_back(item.as_double());
+    for (const auto& item : value.items()) {
+      loads.push_back(parse_load(
+          item, context + "[" + std::to_string(loads.size()) + "]"));
+    }
     if (loads.empty()) bad(context, "loads array must not be empty");
     return loads;
   }
@@ -204,57 +205,85 @@ std::vector<double> parse_loads(const JsonValue& value,
     }
     const int count =
         value.at("count").as_int_in(context + ".count", 1, kIntMax);
-    return sim::load_steps(value.at("lo").as_double(),
-                           value.at("hi").as_double(), count);
+    return sim::load_steps(parse_load(value.at("lo"), context + ".lo"),
+                           parse_load(value.at("hi"), context + ".hi"),
+                           count);
   }
   bad(context, "expected a number array or {lo, hi, count}");
 }
 
-/// The config.telemetry block: writing the block turns telemetry on
-/// (enabled defaults true here, unlike the C++ default) unless it says
-/// "enabled": false — so one line in a suite lights up the whole run.
-void parse_telemetry(const JsonValue& value, const std::string& context,
-                     sim::SimConfig& config) {
-  if (!value.is_object()) bad(context, "expected a telemetry object");
-  auto& telemetry = config.telemetry;
-  telemetry.enabled = true;
-  for (const auto& [key, v] : value.members()) {
-    const std::string path = context + "." + key;
-    if (key == "enabled") telemetry.enabled = v.as_bool();
-    else if (key == "window") telemetry.window_cycles = v.as_int_in(path, 1, kIntMax);
-    else if (key == "max_windows") telemetry.max_windows = v.as_int_in(path, 1, kIntMax);
-    else if (key == "top_links") telemetry.top_links = v.as_int_in(path, 0, kIntMax);
-    else bad(context, "unknown telemetry key '" + key + "'");
-  }
-}
-
-void parse_config(const JsonValue& value, const std::string& context,
-                  sim::SimConfig& config) {
-  if (!value.is_object()) bad(context, "expected a config object");
-  for (const auto& [key, v] : value.members()) {
-    const std::string path = context + "." + key;
-    if (key == "packet_size") config.packet_size = v.as_int_in(path, 1, kIntMax);
-    else if (key == "vcs") config.vcs = v.as_int_in(path, 1, kIntMax);
-    else if (key == "buf_per_port") config.buf_per_port = v.as_int_in(path, 1, kIntMax);
-    else if (key == "warmup") config.warmup_cycles = v.as_int_in(path, 0, kIntMax);
-    else if (key == "measure") config.measure_cycles = v.as_int_in(path, 0, kIntMax);
-    else if (key == "drain") config.drain_cycles = v.as_int_in(path, 0, kIntMax);
-    else if (key == "stall") config.stall_cycles = v.as_int_in(path, kIntMin, kIntMax);
-    else if (key == "seed") config.seed = v.as_uint();
-    else if (key == "engine") {
-      if (!sim::parse_engine(v.as_string(), config.engine)) {
-        bad(context + ".engine",
-            "unknown engine '" + v.as_string() + "' (event/cycle)");
-      }
+/// A block of table settings under `key` (config, config.telemetry or
+/// saturation_search).
+void read_settings(const JsonValue& block, const std::string& key,
+                   const std::string& context, SuiteCase& c) {
+  if (!block.is_object()) bad(context, "expected an object");
+  for (const auto& [name, value] : block.members()) {
+    const std::string path = context + "." + name;
+    if (key + "." + name == "config.telemetry") {
+      // Writing the block turns telemetry on (unlike the C++ default)
+      // unless it says "enabled": false, so one line in a suite lights
+      // up the whole run.
+      c.spec.config.telemetry.enabled = true;
+      read_settings(value, "config.telemetry", path, c);
+    } else if (name.find('.') != std::string::npos ||
+               !settings::read_json(key + "." + name, value, path, c)) {
+      bad(context, "unknown key '" + name + "'");
     }
-    else if (key == "telemetry") parse_telemetry(v, context + ".telemetry", config);
-    else bad(context, "unknown config key '" + key + "'");
   }
 }
 
 void apply_entry_key(const std::string& key, const JsonValue& value,
                      const std::string& context, const std::string& ctx,
-                     EntryState& state, std::string* name);
+                     EntryState& state, std::string* name) {
+  if (key == "name") {
+    if (name == nullptr) bad(ctx, "defaults cannot set a name");
+    *name = value.as_string();
+  } else if (key == "topology") {
+    state.topologies = parse_string_axis(value, ctx);
+  } else if (key == "routing") {
+    state.routings = parse_string_axis(value, ctx);
+  } else if (key == "pattern") {
+    state.patterns = parse_string_axis(value, ctx);
+    state.patterns_set = true;
+  } else if (key == "workloads") {
+    state.workloads = parse_string_axis(value, ctx);
+    for (const std::string& w : state.workloads) {
+      if (w.empty()) bad(ctx, "workload specs must not be empty");
+    }
+  } else if (key == "failures") {
+    if (!value.is_array() || value.size() == 0) {
+      bad(ctx, "expected a non-empty array of failure objects");
+    }
+    state.failures.clear();
+    for (std::size_t i = 0; i < value.items().size(); ++i) {
+      state.failures.push_back(parse_failure(
+          value.items()[i], ctx + "[" + std::to_string(i) + "]"));
+    }
+  } else if (key == "schedules") {
+    if (!value.is_array() || value.size() == 0) {
+      bad(ctx, "expected a non-empty array of schedule objects");
+    }
+    state.schedules.clear();
+    for (std::size_t i = 0; i < value.items().size(); ++i) {
+      state.schedules.push_back(parse_schedule(
+          value.items()[i], ctx + "[" + std::to_string(i) + "]"));
+    }
+  } else if (key == "loads") {
+    state.base.loads = parse_loads(value, ctx);
+  } else if (key == "saturation_search") {
+    if (value.is_bool()) {
+      state.base.saturation = value.as_bool();
+    } else {
+      state.base.saturation = true;
+      read_settings(value, key, ctx, state.base);
+    }
+  } else if (key == "config") {
+    read_settings(value, key, ctx, state.base);
+  } else if (key.find('.') != std::string::npos ||
+             !settings::read_json(key, value, ctx, state.base)) {
+    bad(context, "unknown key '" + key + "'");
+  }
+}
 
 /// Applies one scenarios[] entry onto `state`. The defaults block parses
 /// through the same function (name == nullptr): it may set every axis and
@@ -266,79 +295,13 @@ void apply_entry(const JsonValue& entry, const std::string& context,
     const std::string ctx = context + "." + key;
     // Accessor type mismatches (JsonError) must keep the scenarios[i].key
     // context — a suite of hundreds of cases is undebuggable otherwise.
+    // Range errors already lead with their full key path: name it once.
     try {
       apply_entry_key(key, value, context, ctx, state, name);
     } catch (const util::JsonError& e) {
-      bad(ctx, e.what());
-    }
-  }
-}
-
-void apply_entry_key(const std::string& key, const JsonValue& value,
-                     const std::string& context, const std::string& ctx,
-                     EntryState& state, std::string* name) {
-  {
-    if (key == "name") {
-      if (name == nullptr) bad(ctx, "defaults cannot set a name");
-      *name = value.as_string();
-    } else if (key == "topology") {
-      state.topologies = parse_string_axis(value, ctx);
-    } else if (key == "routing") {
-      state.routings = parse_string_axis(value, ctx);
-    } else if (key == "pattern") {
-      state.patterns = parse_string_axis(value, ctx);
-      state.patterns_set = true;
-    } else if (key == "workloads") {
-      state.workloads = parse_string_axis(value, ctx);
-      for (const std::string& w : state.workloads) {
-        if (w.empty()) bad(ctx, "workload specs must not be empty");
-      }
-    } else if (key == "failures") {
-      if (!value.is_array() || value.size() == 0) {
-        bad(ctx, "expected a non-empty array of failure objects");
-      }
-      state.failures.clear();
-      for (std::size_t i = 0; i < value.items().size(); ++i) {
-        state.failures.push_back(parse_failure(
-            value.items()[i], ctx + "[" + std::to_string(i) + "]"));
-      }
-    } else if (key == "schedules") {
-      if (!value.is_array() || value.size() == 0) {
-        bad(ctx, "expected a non-empty array of schedule objects");
-      }
-      state.schedules.clear();
-      for (std::size_t i = 0; i < value.items().size(); ++i) {
-        state.schedules.push_back(parse_schedule(
-            value.items()[i], ctx + "[" + std::to_string(i) + "]"));
-      }
-    } else if (key == "timeout_seconds") {
-      state.timeout_seconds = value.as_double();
-      if (state.timeout_seconds < 0.0) bad(ctx, "must be >= 0");
-    } else if (key == "loads") {
-      state.loads = parse_loads(value, ctx);
-    } else if (key == "saturation_search") {
-      if (value.is_bool()) {
-        state.saturation = value.as_bool();
-      } else if (value.is_object()) {
-        state.saturation = true;
-        for (const auto& [skey, sval] : value.members()) {
-          if (skey == "lo") state.sat_lo = sval.as_double();
-          else if (skey == "hi") state.sat_hi = sval.as_double();
-          else if (skey == "tol") state.sat_tol = sval.as_double();
-          else if (skey == "iters") state.sat_iters = sval.as_int_in(ctx + ".iters", 1, kIntMax);
-          else bad(ctx, "unknown saturation key '" + skey + "'");
-        }
-      } else {
-        bad(ctx, "expected a bool or {lo, hi, tol, iters}");
-      }
-    } else if (key == "config") {
-      parse_config(value, ctx, state.config);
-    } else if (key == "pattern_seed") {
-      state.pattern_seed = value.as_uint();
-    } else if (key == "ugal_threshold") {
-      state.ugal_threshold = value.as_double();
-    } else {
-      bad(context, "unknown key '" + key + "'");
+      const std::string what = e.what();
+      if (what.rfind(ctx, 0) == 0) throw std::invalid_argument("suite " + what);
+      bad(ctx, what);
     }
   }
 }
@@ -348,8 +311,14 @@ void expand_entry(const EntryState& state, const std::string& name,
   if (state.topologies.empty()) {
     bad(context, "no topology (set it on the entry or in defaults)");
   }
-  if (!state.saturation && state.loads.empty()) {
+  const SuiteCase& base = state.base;
+  if (!base.saturation && base.loads.empty()) {
     bad(context, "needs 'loads' or 'saturation_search'");
+  }
+  if (base.sat_lo > base.sat_hi) {
+    bad(context + ".saturation_search",
+        "lo " + settings::value_text(base.sat_lo) + " exceeds hi " +
+            settings::value_text(base.sat_hi));
   }
   const bool has_workloads =
       state.workloads.size() > 1 || !state.workloads.front().empty();
@@ -362,7 +331,7 @@ void expand_entry(const EntryState& state, const std::string& name,
           "defines the traffic; terminals still map through the default "
           "uniform pattern)");
     }
-    if (state.saturation) {
+    if (base.saturation) {
       bad(context,
           "'saturation_search' cannot run workloads (a workload completes "
           "at any load — sweep fixed loads instead)");
@@ -375,16 +344,13 @@ void expand_entry(const EntryState& state, const std::string& name,
         for (const auto& workload : state.workloads) {
           for (const auto& failure : state.failures) {
             for (const auto& schedule : state.schedules) {
-              SuiteCase cs;
+              SuiteCase cs = base;
               cs.spec.topology = topology;
               cs.spec.routing = routing;
               cs.spec.pattern = pattern;
               cs.spec.workload = workload;
               cs.spec.failure = failure;
               cs.spec.schedule = schedule;
-              cs.spec.config = state.config;
-              cs.spec.routing_options.ugal_threshold = state.ugal_threshold;
-              cs.spec.pattern_seed = state.pattern_seed;
               if (!name.empty()) {
                 // Discriminate only the axes that actually vary, so a
                 // single-combination entry keeps its bare name.
@@ -406,13 +372,6 @@ void expand_entry(const EntryState& state, const std::string& name,
                 if (!suffix.empty()) suffix += "]";
                 cs.spec.name = name + suffix;
               }
-              cs.loads = state.loads;
-              cs.saturation = state.saturation;
-              cs.sat_lo = state.sat_lo;
-              cs.sat_hi = state.sat_hi;
-              cs.sat_tol = state.sat_tol;
-              cs.sat_iters = state.sat_iters;
-              cs.timeout_seconds = state.timeout_seconds;
               suite.cases.push_back(std::move(cs));
             }
           }

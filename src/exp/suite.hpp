@@ -1,35 +1,16 @@
 // Declarative scenario suites (schema "polarfly-suite/1"): one JSON
 // document describes a whole {topology x routing x pattern-or-workload x
 // failure x schedule} experiment matrix, and one runner executes it
-// through the sweep engine.
-// Every paper figure/table that sweeps is a suite entry; the committed
-// suites/*.json files make the full evaluation reproducible from
-// `pf_sim suite <file> --json <out>`.
+// through the sweep engine. Every paper figure/table that sweeps is a
+// suite entry; the committed suites/*.json files make the full
+// evaluation reproducible from `pf_sim suite <file> --json <out>`.
 //
-// Document shape (see README "Scenario suites" for the full schema):
-//
-//   {
-//     "schema": "polarfly-suite/1",
-//     "name": "smoke",
-//     "defaults": { "routing": "MIN", "loads": {"lo":0.2,"hi":0.8,"count":4},
-//                   "config": {"warmup":200,"measure":400,"drain":800} },
-//     "scenarios": [
-//       { "name": "fig08a",
-//         "topology": ["pf:q=13,p=7", "sf:q=11,p=8"],
-//         "routing": ["MIN", "UGALPF"],
-//         "pattern": "uniform",
-//         "failures": [ {}, {"link_rate": 0.05, "seed": 57005} ] }
-//     ]
-//   }
-//
-// topology / routing / pattern / workloads accept a string or an array
-// of strings; failures is an array of failure objects ({} = intact).
-// "workloads" selects workload mode (dependency-aware traffic, see
-// sim::Workload) and is mutually exclusive with "pattern". Each entry
-// expands to the cross product of its axes, in document order
-// (topology-major, schedules innermost). Unknown keys anywhere are hard
-// errors, so schema drift fails loudly instead of silently ignoring a
-// misspelled axis.
+// docs/suite-format.md is the schema reference. Each entry expands to
+// the cross product of its axes in document order (topology-major,
+// schedules innermost); its scalar keys are the rows of
+// exp/settings.hpp's table. Unknown keys anywhere are hard errors, so
+// schema drift fails loudly instead of silently ignoring a misspelled
+// axis.
 #pragma once
 
 #include <cstddef>

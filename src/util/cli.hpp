@@ -1,8 +1,9 @@
 // Minimal command-line parsing for the pf_* apps: one optional leading
 // subcommand, positional operands (bare tokens, e.g. the suite file of
 // `pf_sim suite <file>`), and --key value / --key flags. Typed accessors
-// throw CliError with a user-facing message; queried keys are tracked so
-// the apps can warn about options that were ignored.
+// throw CliError with a user-facing message (a value option given bare
+// too); queried keys are tracked so the apps can refuse options that were
+// never read.
 #pragma once
 
 #include <algorithm>
@@ -78,20 +79,22 @@ class CliArgs {
     return true;
   }
 
-  std::string str(const std::string& key) const {
+  /// A flag given with no value, such as `--progress` before another
+  /// option or at the end of the line.
+  bool bare(const std::string& key) const {
     const auto it = values_.find(key);
-    if (it == values_.end() || it->second.empty()) {
-      throw CliError("missing required option --" + key);
-    }
-    used_.insert(key);
-    return it->second;
+    return it != values_.end() && it->second.empty();
+  }
+
+  std::string str(const std::string& key) const {
+    const std::string* value = value_of(key);
+    if (value == nullptr) throw CliError("missing required option --" + key);
+    return *value;
   }
 
   std::string str_or(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    used_.insert(key);
-    return it->second;
+    const std::string* value = value_of(key);
+    return value == nullptr ? fallback : *value;
   }
 
   std::int64_t integer(const std::string& key) const {
@@ -99,10 +102,8 @@ class CliArgs {
   }
 
   std::int64_t integer_or(const std::string& key, std::int64_t fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    used_.insert(key);
-    return to_integer(key, it->second);
+    const std::string* value = value_of(key);
+    return value == nullptr ? fallback : to_integer(key, *value);
   }
 
   /// integer_or / integer checked to lie in [lo, hi] before it is
@@ -120,10 +121,8 @@ class CliArgs {
   double real(const std::string& key) const { return to_real(key, str(key)); }
 
   double real_or(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    used_.insert(key);
-    return to_real(key, it->second);
+    const std::string* value = value_of(key);
+    return value == nullptr ? fallback : to_real(key, *value);
   }
 
   /// Keys that were provided but never queried — typos, usually.
@@ -136,6 +135,18 @@ class CliArgs {
   }
 
  private:
+  /// The value of --key, or nullptr when it was not given. A value
+  /// option given bare is a bad invocation, not an unknown option.
+  const std::string* value_of(const std::string& key) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return nullptr;
+    if (it->second.empty()) {
+      throw CliError("option --" + key + " needs a value");
+    }
+    used_.insert(key);
+    return &it->second;
+  }
+
   static bool looks_like_flag(const std::string& token) {
     if (token.rfind("--", 0) != 0) return false;
     // "--2" is a (negative-free) value, "--foo" is a flag.

@@ -160,6 +160,30 @@ TEST(Engine, SaturationSearchBracketsThePlateau) {
   EXPECT_LE(run.saturation_estimate, run.saturation() + 0.02 + 1e-9);
 }
 
+TEST(Engine, SaturationSearchHugeTimeoutIsNoTimeout) {
+  // A budget of 1e300 s used to overflow the deadline's integer clock
+  // ticks, so the search stopped after its first probe as "timeout".
+  const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
+  const auto routing = exp::make_routing(setup, "MIN");
+  const auto pattern = exp::make_pattern(setup, "uniform", 0);
+  const auto search = [&](double timeout_seconds) {
+    return exp::saturation_search(setup, *routing, *pattern, quick_config(),
+                                  "sat", 0.05, 1.0, 0.02, 4,
+                                  timeout_seconds);
+  };
+  const exp::RunRecord unlimited = search(0.0);
+  const exp::RunRecord huge = search(1e300);
+  EXPECT_EQ(huge.status, "");
+  EXPECT_EQ(huge.status, unlimited.status);
+  EXPECT_EQ(huge.saturation_estimate, unlimited.saturation_estimate);
+  ASSERT_EQ(huge.points.size(), unlimited.points.size());
+  EXPECT_GT(huge.points.size(), 1u);
+  for (std::size_t i = 0; i < huge.points.size(); ++i) {
+    EXPECT_EQ(huge.points[i].offered, unlimited.points[i].offered);
+    EXPECT_EQ(huge.points[i].accepted, unlimited.points[i].accepted);
+  }
+}
+
 TEST(Results, JsonIsStructurallySound) {
   const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
   const auto routing = exp::make_routing(setup, "MIN");

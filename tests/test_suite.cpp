@@ -210,6 +210,24 @@ TEST(SuiteParse, SchemaViolationsNameTheOffender) {
                "[{\"topology\": \"pf:q=5\", \"loads\": [0.5]}, "
                "{\"topology\": \"pf:q=5\", \"loads\": []}]}",
                "scenarios[1]");
+  // Type errors inside a block name the full key path, not the block.
+  const auto entry = [](const std::string& members) {
+    return "{\"schema\": \"polarfly-suite/1\", \"scenarios\": "
+           "[{\"topology\": \"pf:q=5\", \"loads\": [0.5], " +
+           members + "}]}";
+  };
+  expect_error(entry("\"config\": {\"telemetry\": {\"enabled\": 3}}"),
+               "suite scenarios[0].config.telemetry.enabled: expected bool");
+  expect_error(entry("\"config\": {\"engine\": 5}"),
+               "suite scenarios[0].config.engine: expected string");
+  expect_error(entry("\"config\": {\"engine\": \"warp\"}"),
+               "suite scenarios[0].config.engine: unknown engine 'warp'");
+  expect_error(entry("\"config\": {\"seed\": -1}"),
+               "suite scenarios[0].config.seed: expected unsigned integer");
+  expect_error(entry("\"saturation_search\": {\"lo\": \"a\"}"),
+               "suite scenarios[0].saturation_search.lo: expected number");
+  expect_error(entry("\"config\": {\"telemetry.window\": 8}"),
+               "suite scenarios[0].config: unknown key 'telemetry.window'");
 }
 
 TEST(SuiteParse, NarrowedIntegersAreRangeChecked) {
@@ -234,6 +252,15 @@ TEST(SuiteParse, NarrowedIntegersAreRangeChecked) {
   }
   const auto suite = exp::parse_suite(suite_with_warmup("2147483647"));
   EXPECT_EQ(suite.cases[0].spec.config.warmup_cycles, 2147483647);
+  // A range error names its key path once, not prefixed by its block's.
+  try {
+    exp::parse_suite(suite_with_warmup("-1"));
+    FAIL() << "expected std::invalid_argument for warmup -1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "suite scenarios[0].config.warmup = -1 out of range "
+                 "[0, 2147483647]");
+  }
 
   const auto v = util::json_parse("{\"n\": 7}");
   EXPECT_EQ(v.at("n").as_int_in("n", 0, 7), 7);
@@ -821,7 +848,8 @@ TEST(SuiteParse, ScheduleSchemaViolationsNameTheOffender) {
   expect_error("\"schedules\": [{\"events\": [{\"at\": -1, "
                "\"link_down\": [0, 1]}]}]",
                "at");
-  expect_error("\"timeout_seconds\": -3", ">= 0");
+  expect_error("\"timeout_seconds\": -3",
+               "timeout_seconds = -3 out of range [0, inf)");
 }
 
 TEST(SuiteParse, WorkloadsExpandAsAnAxis) {
