@@ -161,7 +161,8 @@ int usage() {
       "routing: MIN VAL CVAL UGAL UGALPF NCA(fattree) ALG(polarfly)\n"
       "patterns: uniform tornado randperm perm1hop perm2hop bitcomp\n"
       "\ntopologies (--topology also accepts a spec string like\n"
-      "\"pf:q=13,p=7\" — the suite-file syntax):\n%s",
+      "\"pf:q=13,p=7\" — the suite-file syntax; --seed is the simulation\n"
+      "seed, so a jellyfish graph seed goes in the spec, jf:...,seed=S):\n%s",
       topo::topology_usage().c_str());
   return 2;
 }

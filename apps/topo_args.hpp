@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <string_view>
 
 #include "topo/registry.hpp"
 #include "util/cli.hpp"
@@ -18,30 +17,31 @@ namespace pf::apps {
 
 /// Collects the spec string and/or registry parameter flags present in
 /// `args`, p= (endpoints per router, the suite layer's meaning) included.
+/// --seed is not among them: pf_sim's --seed is the simulation seed, and
+/// a Jellyfish graph seed comes from the spec string, as in a suite.
 /// Nothing is constructed yet. Throws util::CliError / std::invalid_argument
 /// with a user-facing message on bad input.
 inline topo::TopologySpec topology_from_args(const util::CliArgs& args) {
   topo::TopologySpec spec = topo::parse_topology_spec(args.str("topology"));
-  for (const char* key :
-       {"q", "a", "b", "h", "p", "n", "k", "d", "lift", "arity", "levels",
-        "seed"}) {
-    // Only jellyfish has a graph seed; elsewhere pf_sim's --seed is the
-    // simulation seed alone, with its full 64-bit range.
-    const bool seed = std::string_view(key) == "seed";
-    if ((seed && spec.family != "jellyfish") || !args.has(key)) continue;
-    // make_topology narrows every parameter but the 64-bit seed to int.
-    spec.params[key] = args.integer_in<std::int64_t>(
-        key, 0,
-        seed ? std::numeric_limits<std::int64_t>::max()
-             : std::numeric_limits<int>::max());
+  for (const char* key : {"q", "a", "b", "h", "p", "n", "k", "d", "lift",
+                          "arity", "levels"}) {
+    if (!args.has(key)) continue;
+    // make_topology narrows each of these parameters to int.
+    spec.params[key] =
+        args.integer_in<std::int64_t>(key, 0, std::numeric_limits<int>::max());
   }
   return spec;
 }
 
-/// The graph the flags name, constructed; p= only counts where it is
-/// structural (dragonfly).
+/// The graph the flags name, constructed (pf_topo): here --seed is the
+/// Jellyfish graph seed, the only seed a bare topology has. p= only
+/// counts where it is structural (dragonfly).
 inline topo::TopologyInstance instance_from_args(const util::CliArgs& args) {
   topo::TopologySpec spec = topology_from_args(args);
+  if (spec.family == "jellyfish" && args.has("seed")) {
+    spec.params["seed"] = args.integer_in<std::int64_t>(
+        "seed", 0, std::numeric_limits<std::int64_t>::max());
+  }
   topo::extract_endpoints(spec);
   return topo::make_topology(spec.family, spec.params);
 }

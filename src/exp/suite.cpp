@@ -65,26 +65,25 @@ FailureSpec parse_failure(const JsonValue& value, const std::string& context) {
   if (!value.is_object()) bad(context, "expected a failure object");
   FailureSpec spec;
   for (const auto& [key, v] : value.members()) {
+    const std::string path = context + "." + key;
     if (key == "link_rate") {
-      spec.link_rate = v.as_double();
+      spec.link_rate = v.as_double(path);
       if (spec.link_rate < 0.0 || spec.link_rate > 1.0) {
-        bad(context + ".link_rate", "must be in [0, 1]");
+        bad(path, "must be in [0, 1]");
       }
     } else if (key == "seed") {
-      spec.seed = v.as_uint();
+      spec.seed = v.as_uint(path);
     } else if (key == "links") {
       for (const auto& link : v.items()) {
         if (!link.is_array() || link.size() != 2) {
-          bad(context + ".links", "each link must be a [u, v] pair");
+          bad(path, "each link must be a [u, v] pair");
         }
-        spec.links.emplace_back(
-            link.items()[0].as_int_in(context + ".links", 0, kIntMax),
-            link.items()[1].as_int_in(context + ".links", 0, kIntMax));
+        spec.links.emplace_back(link.items()[0].as_int_in(path, 0, kIntMax),
+                                link.items()[1].as_int_in(path, 0, kIntMax));
       }
     } else if (key == "routers") {
       for (const auto& router : v.items()) {
-        spec.routers.push_back(
-            router.as_int_in(context + ".routers", 0, kIntMax));
+        spec.routers.push_back(router.as_int_in(path, 0, kIntMax));
       }
     } else {
       bad(context, "unknown failure key '" + key + "'");
@@ -100,7 +99,7 @@ FailureSchedule::Event parse_schedule_event(const JsonValue& value,
   bool has_action = false;
   for (const auto& [key, v] : value.members()) {
     if (key == "at") {
-      event.at = v.as_int();
+      event.at = v.as_int(context + ".at");
       if (event.at < 0) bad(context + ".at", "must be >= 0");
     } else if (key == "link_down" || key == "link_up") {
       if (has_action) bad(context, "event has more than one action");
@@ -133,12 +132,12 @@ FailureSchedule::Flap parse_schedule_flap(const JsonValue& value,
   FailureSchedule::Flap flap;
   for (const auto& [key, v] : value.members()) {
     const std::string path = context + "." + key;
-    if (key == "rate") flap.rate = v.as_double();
+    if (key == "rate") flap.rate = v.as_double(path);
     else if (key == "count") flap.count = v.as_int_in(path, 0, kIntMax);
-    else if (key == "seed") flap.seed = v.as_uint();
-    else if (key == "down_at") flap.down_at = v.as_int();
-    else if (key == "up_after") flap.up_after = v.as_int();
-    else if (key == "period") flap.period = v.as_int();
+    else if (key == "seed") flap.seed = v.as_uint(path);
+    else if (key == "down_at") flap.down_at = v.as_int(path);
+    else if (key == "up_after") flap.up_after = v.as_int(path);
+    else if (key == "period") flap.period = v.as_int(path);
     else if (key == "repeats") flap.repeats = v.as_int_in(path, 0, kIntMax);
     else bad(context, "unknown flap key '" + key + "'");
   }
@@ -179,7 +178,7 @@ FailureSchedule parse_schedule(const JsonValue& value,
 }
 
 double parse_load(const JsonValue& value, const std::string& path) {
-  const double load = value.as_double();
+  const double load = value.as_double(path);
   const std::string why = settings::refusal(settings::kLoad, load);
   if (!why.empty()) throw util::JsonError(path + why);
   return load;

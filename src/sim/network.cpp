@@ -42,7 +42,7 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
       rng_(config.seed ^ 0x9e3779b97f4a7c15ULL) {
   // The packet pool sets the peak RSS of saturated sweeps (bench/e2e's
   // q13_sweep): every byte added here is paid by every pooled packet.
-  static_assert(sizeof(Packet) <= 152, "Network::Packet grew past 152 B");
+  static_assert(sizeof(Packet) <= 144, "Network::Packet grew past 144 B");
   const int n = g.num_vertices();
   if (static_cast<int>(endpoints_.size()) != n) {
     throw std::invalid_argument("endpoints size != num_vertices");
@@ -493,9 +493,9 @@ void Network::eject(int packet_id) {
   }
   if (packet.measured) {
     ++measured_delivered_;
-    measured_hops_ += packet.route.len - 1;
+    measured_hops_ += packet.path.len;
     latencies_.push_back(latency);
-    if (telemetry_) telemetry_->on_delivery(latency, packet.route.len - 1);
+    if (telemetry_) telemetry_->on_delivery(latency, packet.path.len);
   }
   if (telemetry_ && packet.trace_id >= 0) trace_deliver(packet, latency);
   if (workload_mode_) wl_on_delivery(packet);
@@ -633,32 +633,35 @@ void Network::rebuild_degraded_view() {
   degraded_oracle_ = std::make_unique<DistanceOracle>(degraded_graph_);
 }
 
-bool Network::route_crosses_dead(const Route& route, int from_hop) const {
-  for (int h = from_hop; h + 1 < route.len; ++h) {
-    const int c = channel_id(route.hops[static_cast<std::size_t>(h)],
-                             route.hops[static_cast<std::size_t>(h) + 1]);
-    if (channel_dead_[static_cast<std::size_t>(c)]) return true;
-  }
-  return false;
-}
-
-bool Network::pick_route(int src, int dst, Route& out) {
+bool Network::pick_route(int src, int dst, Path& out) {
   // Bounded rejection sampling: most algorithms can avoid a dead link on
   // a retry (adaptive ones route on the degraded view directly); MIN
   // keeps its intact tables, so pairs whose minimal paths are all dead
-  // exhaust the retries and report unreachable.
+  // exhaust the retries and report unreachable. Without a timeline no
+  // link is dead and the first route is taken.
   constexpr int kRetries = 4;
+  Route route;
   for (int attempt = 0; attempt < kRetries; ++attempt) {
-    out.clear();
+    route.clear();
     if (any_dead_) {
       routing_.route_degraded(*this, degraded_graph_, *degraded_oracle_,
-                              src, dst, rng_, out);
+                              src, dst, rng_, route);
     } else {
-      routing_.route(*this, src, dst, rng_, out);
+      routing_.route(*this, src, dst, rng_, route);
     }
-    if (out.len >= 2 && !route_crosses_dead(out, 0)) return true;
+    int h = 0;
+    for (; h + 1 < route.len; ++h) {
+      const int c = channel_id(route.hops[static_cast<std::size_t>(h)],
+                               route.hops[static_cast<std::size_t>(h) + 1]);
+      if (has_timeline_ && channel_dead_[static_cast<std::size_t>(c)]) break;
+      out.links[static_cast<std::size_t>(h)] = c;
+    }
+    if (route.len >= 2 && h + 1 == route.len) {
+      out.len = h;
+      return true;
+    }
   }
-  out.clear();
+  out.len = Path::kUnrouted;
   return false;
 }
 
@@ -666,27 +669,23 @@ bool Network::reroute_mid(Packet& packet, int at_router) {
   const int dst_router = pattern_.router_of(packet.dst_terminal);
   if (at_router == dst_router) {
     // A detour already passing through the destination: just stop here.
-    packet.route.len = packet.hop + 1;
-    packet.out_channel = -1;
+    packet.path.len = packet.hop;
     return true;
   }
-  Route tail;
+  Path tail;
   if (!pick_route(at_router, dst_router, tail)) return false;
-  if (packet.hop + tail.len > Route::kMaxLen) return false;
-  // Keep the hops already taken, splice the live continuation on.
-  packet.route.len = packet.hop + 1;
-  for (int h = 1; h < tail.len; ++h) {
-    packet.route.push(tail.hops[static_cast<std::size_t>(h)]);
-  }
-  packet.out_channel = -1;
+  auto& links = packet.path.links;
+  if (packet.hop + tail.len > static_cast<int>(links.size())) return false;
+  // Keep the links already taken, splice the live continuation on.
+  std::copy_n(tail.links.begin(), tail.len, links.begin() + packet.hop);
+  packet.path.len = packet.hop + tail.len;
   return true;
 }
 
 void Network::requeue_at_source(int packet_id) {
   Packet& packet = packets_[static_cast<std::size_t>(packet_id)];
-  packet.route.clear();
+  packet.path.len = Path::kUnrouted;
   packet.hop = 0;
-  packet.out_channel = -1;
   packet.ready = cycle_;
   ++degradation_.reinjected;
   injection_pool_[static_cast<std::size_t>(packet.src_router)]
@@ -724,19 +723,20 @@ bool Network::try_dispatch(int packet_id, int at_router) {
     return false;
   }
 
-  // Incremental invalidation: a committed route whose remainder crosses a
-  // link that has since died is re-pathed (or the packet disposed of per
-  // policy) the next time the packet bids for the switch.
-  if (has_timeline_ && packet.route.len != 0 &&
-      packet.hop < packet.route.len - 1 &&
-      route_crosses_dead(packet.route, packet.hop)) {
+  // Incremental invalidation: a committed route whose remaining links
+  // include one that has since died is re-pathed (or the packet disposed
+  // of per policy) the next time the packet bids for the switch.
+  const std::int32_t* const links = packet.path.links.data();
+  if (has_timeline_ && packet.hop < packet.path.len &&
+      std::any_of(links + packet.hop, links + packet.path.len,
+                  [this](std::int32_t c) {
+                    return channel_dead_[static_cast<std::size_t>(c)] != 0;
+                  })) {
     if (packet.hop == 0) {
-      // Still at the source: forget the choice and re-route fresh below.
-      if (packet.out_channel >= 0) {
-        --waiting_for_output_[static_cast<std::size_t>(packet.out_channel)];
-      }
-      packet.route.clear();
-      packet.out_channel = -1;
+      // Still at the source: leave the first link's waiting queue,
+      // forget the choice and re-route fresh below.
+      --waiting_for_output_[static_cast<std::size_t>(links[0])];
+      packet.path.len = Path::kUnrouted;
       ++degradation_.rerouted;
     } else {
       ev_dirty_ = true;  // reroute_mid draws the shared RNG either way
@@ -761,31 +761,21 @@ bool Network::try_dispatch(int packet_id, int at_router) {
 
   // Lazy routing: decided when the packet first gets a shot at the
   // switch, so adaptive schemes read fresh congestion state.
-  if (packet.route.len == 0) {
+  if (packet.path.len == Path::kUnrouted) {
     const int dst_router =
         pattern_.router_of(packet.dst_terminal);
+    // pick_route draws the shared RNG, pass or fail: the Event policy
+    // must revisit this router next cycle exactly when the Cycle policy's
+    // visit would draw again (notably pick_route failing every cycle for
+    // an unreachable Reinject-policy packet).
     if (packet.src_router == dst_router) {
-      packet.route.push(packet.src_router);
-    } else if (!has_timeline_) {
-      // Every branch below draws the shared RNG: the Event policy must
-      // revisit this router next cycle exactly when the Cycle policy's
-      // visit would draw again (notably pick_route failing every cycle
-      // for an unreachable Reinject-policy packet).
-      ev_dirty_ = true;
-      routing_.route(*this, packet.src_router, dst_router, rng_,
-                     packet.route);
-      // The packet now queues for its chosen first link.
-      packet.out_channel =
-          channel_id(packet.src_router, packet.route.hops[1]);
-      mark_channel(static_cast<std::size_t>(packet.out_channel));
-      ++waiting_for_output_[static_cast<std::size_t>(packet.out_channel)];
-      if (telemetry_ && packet.trace_id >= 0) trace_route(packet, "route");
+      packet.path.len = 0;
     } else if ((ev_dirty_ = true,
-                pick_route(packet.src_router, dst_router, packet.route))) {
-      packet.out_channel =
-          channel_id(packet.src_router, packet.route.hops[1]);
-      mark_channel(static_cast<std::size_t>(packet.out_channel));
-      ++waiting_for_output_[static_cast<std::size_t>(packet.out_channel)];
+                pick_route(packet.src_router, dst_router, packet.path))) {
+      // The packet now queues for its chosen first link.
+      const auto first = static_cast<std::size_t>(links[0]);
+      mark_channel(first);
+      ++waiting_for_output_[first];
       if (telemetry_ && packet.trace_id >= 0) trace_route(packet, "route");
     } else if (config_.faults.policy == FaultPolicy::Reinject) {
       // Stay queued at the source: a link_up may restore a path.
@@ -797,7 +787,7 @@ bool Network::try_dispatch(int packet_id, int at_router) {
     }
   }
 
-  if (packet.hop == packet.route.len - 1) {
+  if (packet.hop == packet.path.len) {
     // At the destination router: eject through the terminal's port.
     const std::int64_t eject_free =
         terminal_eject_free_[static_cast<std::size_t>(packet.dst_terminal)];
@@ -809,12 +799,7 @@ bool Network::try_dispatch(int packet_id, int at_router) {
     return true;
   }
 
-  if (packet.out_channel < 0) {
-    const int next =
-        packet.route.hops[static_cast<std::size_t>(packet.hop) + 1];
-    packet.out_channel = channel_id(at_router, next);
-  }
-  const auto out = static_cast<std::size_t>(packet.out_channel);
+  const auto out = static_cast<std::size_t>(links[packet.hop]);
   if (link_busy_until_[out] > cycle_) {  // link serializing
     if (link_busy_until_[out] < ev_hint_) ev_hint_ = link_busy_until_[out];
     return false;
@@ -855,16 +840,14 @@ bool Network::try_dispatch(int packet_id, int at_router) {
         channel_target_[out],
         router_backlog_[static_cast<std::size_t>(channel_target_[out])]);
     if (packet.trace_id >= 0) {
-      trace_hop(packet, at_router,
-                packet.route.hops[static_cast<std::size_t>(packet.hop)]);
+      trace_hop(packet, at_router, channel_target_[out]);
     }
   }
-  if (packet.hop == 1 && packet.route.len >= 2) {
+  if (packet.hop == 1) {
     // Departed the source: leave that first-hop waiting queue.
     --waiting_for_output_[out];
   }
   packet.ready = cycle_ + 1;  // head arrives downstream next cycle
-  packet.out_channel = -1;    // recomputed at the downstream router
   return true;
 }
 
@@ -1525,15 +1508,17 @@ void Network::trace_route(const Packet& packet, const char* event) {
   char buf[128 + 16 * Route::kMaxLen];
   int n = std::snprintf(buf, sizeof buf,
                         "{\"cycle\":%lld,\"event\":\"%s\",\"packet\":%d,"
-                        "\"path\":[",
+                        "\"path\":[%d",
                         static_cast<long long>(cycle_), event,
-                        packet.trace_id);
-  for (int h = 0; h < packet.route.len && n > 0 &&
+                        packet.trace_id, packet.src_router);
+  // The source, then each link's downstream router.
+  for (int h = 0; h < packet.path.len && n > 0 &&
                   n < static_cast<int>(sizeof buf) - 16;
        ++h) {
     n += std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n),
-                       h == 0 ? "%d" : ",%d",
-                       packet.route.hops[static_cast<std::size_t>(h)]);
+                       ",%d",
+                       channel_target_[static_cast<std::size_t>(
+                           packet.path.links[static_cast<std::size_t>(h)])]);
   }
   n += std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n), "]}");
   if (n > 0) telemetry_->trace_line(buf, static_cast<std::size_t>(n));

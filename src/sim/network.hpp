@@ -23,8 +23,9 @@
 // A head check therefore loads the ring's front and then the packet,
 // with no slot array in between, and ring memory does not grow with
 // the buffer depth. A per-router backlog counter skips idle routers
-// entirely, and each packet caches its current output channel id, so a
-// blocked head costs a few loads instead of a binary search per cycle.
+// entirely, and each packet carries its committed route as channel ids,
+// so a head's next link, and the live-fault check of its remaining
+// links, cost a few loads instead of a binary search per hop.
 // `reset()` rewinds a network to its just-constructed state so sweeps
 // reuse one instance instead of rebuilding the channel indexing per
 // point; identical seeds produce bit-identical statistics either way.
@@ -291,13 +292,21 @@ class Network {
   }
 
  private:
+  /// A committed route as the directed channel ids it takes, converted
+  /// once when the route is committed: links[h] leaves the router
+  /// reached after h hops, so channel_target_ recovers the routers.
+  struct Path {
+    static constexpr int kUnrouted = -1;  ///< no route chosen yet
+    int len = kUnrouted;  ///< links; 0 when source and destination meet
+    std::array<std::int32_t, Route::kMaxLen - 1> links{};
+  };
+
   struct Packet {
-    Route route;            ///< empty until first allocation (lazy routing)
-    std::int16_t hop = 0;   ///< index into route (< Route::kMaxLen)
+    Path path;              ///< unrouted until first allocation (lazy)
+    std::int16_t hop = 0;   ///< links taken; the next is path.links[hop]
     std::int16_t subvc = 0; ///< sub-VC within a hop class (< 64)
     int src_router = 0;
     int dst_terminal = 0;
-    std::int32_t out_channel = -1;  ///< cached id of the next link
     std::int32_t next = -1;  ///< id of the packet behind it in its VC queue
     std::int64_t birth = 0;
     std::int64_t ready = 0;  ///< head-arrival time at the current router
@@ -427,11 +436,10 @@ class Network {
   void flush_dead_channel(int channel);
   /// Rebuilds the degraded graph + oracle from the live links.
   void rebuild_degraded_view();
-  /// True when the remaining route (from hop `from_hop`) uses a dead link.
-  bool route_crosses_dead(const Route& route, int from_hop) const;
-  /// Samples a fresh route avoiding dead links (bounded retries).
-  /// False when no live route was found.
-  bool pick_route(int src, int dst, Route& out);
+  /// Samples a fresh route avoiding dead links (bounded retries) and
+  /// commits its links to `out`. False, `out` unrouted, when no live
+  /// route was found.
+  bool pick_route(int src, int dst, Path& out);
   /// Re-paths a mid-flight packet from its current router on the degraded
   /// graph, keeping the hops already taken. False when stranded.
   bool reroute_mid(Packet& packet, int at_router);

@@ -197,26 +197,35 @@ bool JsonValue::as_bool() const {
   return bool_;
 }
 
-double JsonValue::as_double() const {
+namespace {
+
+/// "path: " ahead of an accessor's type error, or nothing without a path.
+std::string lead(const std::string& path) {
+  return path.empty() ? path : path + ": ";
+}
+
+}  // namespace
+
+double JsonValue::as_double(const std::string& path) const {
   if (kind_ != Kind::Number) {
-    throw JsonError("expected number, got " + describe());
+    throw JsonError(lead(path) + "expected number, got " + describe());
   }
   return num_;
 }
 
-std::int64_t JsonValue::as_int() const {
+std::int64_t JsonValue::as_int(const std::string& path) const {
   if (kind_ != Kind::Number || !is_integral_ || is_unsigned_) {
-    throw JsonError("expected integer, got " +
+    throw JsonError(lead(path) + "expected integer, got " +
                     (kind_ == Kind::Number ? "non-integral number"
                                            : describe()));
   }
   return int_;
 }
 
-std::uint64_t JsonValue::as_uint() const {
+std::uint64_t JsonValue::as_uint(const std::string& path) const {
   if (kind_ != Kind::Number || !is_integral_ ||
       (!is_unsigned_ && int_ < 0)) {
-    throw JsonError("expected unsigned integer, got " +
+    throw JsonError(lead(path) + "expected unsigned integer, got " +
                     (kind_ == Kind::Number ? "non-integral or negative number"
                                            : describe()));
   }

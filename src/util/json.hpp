@@ -94,11 +94,13 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::Object; }
 
   bool as_bool() const;
-  double as_double() const;
+  /// Numeric accessors; a non-empty `path` (the value's key path) leads
+  /// the type error, as in as_int_in.
+  double as_double(const std::string& path = {}) const;
   /// The number as an integer; throws when the token was not integral
   /// (had a fraction/exponent) or does not fit.
-  std::int64_t as_int() const;
-  std::uint64_t as_uint() const;
+  std::int64_t as_int(const std::string& path = {}) const;
+  std::uint64_t as_uint(const std::string& path = {}) const;
   /// The number as an integer in [lo, hi] (int or int64 bounds). Throws
   /// naming `path`, the value's key path (e.g.
   /// "scenarios[0].config.warmup"), when the token is not an integer or

@@ -1,17 +1,24 @@
 // Live fault injection: FailureSchedule compilation, mid-run link/router
 // kills, graceful degradation accounting (drop vs reinject policies,
-// reroutes, reconvergence), the progress watchdog, and the apply_failures
-// edge cases (duplicate links, isolation == explicit router kill).
+// reroutes, reconvergence), the progress watchdog, the traced paths of a
+// faulted run, and the apply_failures edge cases (duplicate links,
+// isolation == explicit router kill).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/engine.hpp"
 #include "exp/scenario.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
+#include "sim/telemetry.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -358,6 +365,87 @@ TEST(LiveFaults, WatchdogFiresAcrossSkippedSpan) {
   EXPECT_EQ(event_record.status, "stalled");
   EXPECT_EQ(event_record.points[0].cycles, cycle_record.points[0].cycles);
   EXPECT_LT(event_record.points[0].cycles, 2000);
+}
+
+// ---- traced paths under live faults --------------------------------------
+
+/// The full trace (every packet sampled) of PF q=5 under UGAL-PF at load
+/// 0.9 while three links each of routers 0 and 10 go down at cycles 150,
+/// 250 and 350 and come back 50 cycles later.
+std::string live_fault_trace(const std::string& policy,
+                             const graph::Graph& g) {
+  exp::ScenarioSpec spec;
+  spec.topology = "pf:q=5,p=3";
+  spec.routing = "UGALPF";
+  spec.config = small_config();
+  spec.schedule.policy = policy;
+  exp::FailureSchedule::Event event;
+  for (const std::int64_t down : {150, 250, 350}) {
+    for (const int u : {0, 10}) {
+      for (std::size_t k = 0; k < 3; ++k) {
+        event.link = {u, g.neighbors(u)[k]};
+        event.kind = "link_down";
+        event.at = down;
+        spec.schedule.events.push_back(event);
+        event.kind = "link_up";
+        event.at = down + 50;
+        spec.schedule.events.push_back(event);
+      }
+    }
+  }
+  const exp::Scenario scenario = exp::ScenarioRegistry::shared().make(spec);
+  sim::TraceSink sink;
+  sim::SimConfig config = scenario.config;
+  config.telemetry.enabled = true;
+  config.telemetry.trace = &sink;
+  config.telemetry.trace_sample = 1.0;
+  sim::Network net(scenario.setup->graph, scenario.setup->endpoints,
+                   *scenario.routing, *scenario.pattern, config, 0.9);
+  net.run_phases();
+  return sink.memory();
+}
+
+TEST(LiveFaultPaths, TracedRoutesAreLiveWalksToTheDestination) {
+  const auto setup = exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
+  const graph::Graph& g = setup->graph;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over both traces
+  for (const std::string policy : {"drop", "reinject"}) {
+    SCOPED_TRACE(policy);
+    const std::string trace = live_fault_trace(policy, g);
+    for (const char byte : trace) {
+      hash ^= static_cast<unsigned char>(byte);
+      hash *= 0x100000001b3ULL;
+    }
+    // packet -> its source and destination router
+    std::map<std::int64_t, std::pair<std::int64_t, std::int64_t>> ends;
+    int routes = 0, reroutes = 0;
+    std::istringstream lines(trace);
+    for (std::string line; std::getline(lines, line);) {
+      const util::JsonValue event = util::json_parse(line);
+      const std::string& kind = event.at("event").as_string();
+      const std::int64_t packet = event.at("packet").as_int();
+      if (kind == "inject") {
+        ends[packet] = {event.at("src").as_int(), event.at("dst").as_int()};
+      }
+      if (kind != "route" && kind != "reroute") continue;
+      ++(kind == "route" ? routes : reroutes);
+      const auto& path = event.at("path").items();
+      ASSERT_GE(path.size(), 2u) << line;
+      for (std::size_t h = 1; h < path.size(); ++h) {
+        EXPECT_TRUE(g.has_edge(static_cast<int>(path[h - 1].as_int()),
+                               static_cast<int>(path[h].as_int())))
+            << line;
+      }
+      ASSERT_EQ(ends.count(packet), 1u) << line;
+      EXPECT_EQ(path.front().as_int(), ends[packet].first) << line;
+      EXPECT_EQ(path.back().as_int(), ends[packet].second) << line;
+    }
+    EXPECT_GT(routes, 0);
+    EXPECT_GT(reroutes, 0);
+  }
+  // Pins the trace bytes: paths are kept as link ids but printed as the
+  // routers they visit.
+  EXPECT_EQ(hash, 0xa7dd386e7d79d44dULL);
 }
 
 // ---- apply_failures edge cases -------------------------------------------

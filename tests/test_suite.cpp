@@ -228,6 +228,15 @@ TEST(SuiteParse, SchemaViolationsNameTheOffender) {
                "suite scenarios[0].saturation_search.lo: expected number");
   expect_error(entry("\"config\": {\"telemetry.window\": 8}"),
                "suite scenarios[0].config: unknown key 'telemetry.window'");
+  expect_error(entry("\"failures\": [{}, {\"link_rate\": \"x\"}]"),
+               "suite scenarios[0].failures[1].link_rate: expected number");
+  expect_error(entry("\"failures\": [{\"seed\": -3}]"),
+               "suite scenarios[0].failures[0].seed: expected unsigned "
+               "integer");
+  expect_error(
+      "{\"schema\": \"polarfly-suite/1\", \"scenarios\": "
+      "[{\"topology\": \"pf:q=5\", \"loads\": [0.5, \"x\"]}]}",
+      "suite scenarios[0].loads[1]: expected number");
 }
 
 TEST(SuiteParse, NarrowedIntegersAreRangeChecked) {
@@ -850,6 +859,26 @@ TEST(SuiteParse, ScheduleSchemaViolationsNameTheOffender) {
                "at");
   expect_error("\"timeout_seconds\": -3",
                "timeout_seconds = -3 out of range [0, inf)");
+  // Type errors name the full key path, not just the schedules axis.
+  expect_error("\"schedules\": [{\"events\": [{\"at\": \"x\", "
+               "\"link_down\": [0, 1]}]}]",
+               "suite scenarios[0].schedules[0].events[0].at: expected "
+               "integer");
+  expect_error("\"schedules\": [{}, {\"flaps\": [{\"rate\": \"x\"}]}]",
+               "suite scenarios[0].schedules[1].flaps[0].rate: expected "
+               "number");
+  expect_error("\"schedules\": [{\"flaps\": [{\"seed\": 1.5}]}]",
+               "suite scenarios[0].schedules[0].flaps[0].seed: expected "
+               "unsigned integer");
+  expect_error("\"schedules\": [{\"flaps\": [{}, {\"down_at\": 2.5}]}]",
+               "suite scenarios[0].schedules[0].flaps[1].down_at: expected "
+               "integer");
+  expect_error("\"schedules\": [{\"flaps\": [{\"up_after\": true}]}]",
+               "suite scenarios[0].schedules[0].flaps[0].up_after: expected "
+               "integer");
+  expect_error("\"schedules\": [{\"flaps\": [{\"period\": \"p\"}]}]",
+               "suite scenarios[0].schedules[0].flaps[0].period: expected "
+               "integer");
 }
 
 TEST(SuiteParse, WorkloadsExpandAsAnAxis) {
