@@ -35,7 +35,7 @@ Graph Graph::from_edges(int num_vertices, std::vector<Edge> edges) {
     g.targets_[static_cast<std::size_t>(cursor[v]++)] = u;
   }
   // Sorted-input edges give sorted rows for the lower endpoint only; sort
-  // each row to make has_edge a binary search.
+  // each row for neighbor_index.
   for (int v = 0; v < num_vertices; ++v) {
     std::sort(g.targets_.begin() + g.offsets_[v],
               g.targets_.begin() + g.offsets_[v + 1]);
@@ -53,11 +53,6 @@ int Graph::max_degree() const {
   int best = 0;
   for (int v = 0; v < num_vertices_; ++v) best = std::max(best, degree(v));
   return best;
-}
-
-bool Graph::has_edge(int u, int v) const {
-  const auto row = neighbors(u);
-  return std::binary_search(row.begin(), row.end(), v);
 }
 
 std::vector<Edge> Graph::edge_list() const {

@@ -1,9 +1,10 @@
 // The core graph type: an immutable undirected simple graph in CSR
 // (compressed sparse row) form. Neighbor lists are sorted, so adjacency
-// tests are binary searches and edge enumeration is cache-friendly —
+// tests are short searches and edge enumeration is cache-friendly —
 // every topology in topo/ and the simulator in sim/ run on this.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -48,7 +49,24 @@ class Graph {
   int min_degree() const;
   int max_degree() const;
 
-  bool has_edge(int u, int v) const;
+  bool has_edge(int u, int v) const { return neighbor_index(u, v) >= 0; }
+
+  /// Position of v in u's sorted neighbor row, or -1 when u and v are not
+  /// adjacent. The entry an evenly spread row would give v, index
+  /// v * degree / n, is tried first (PolarFly's rows put most neighbors
+  /// there); a miss falls back to a binary search.
+  int neighbor_index(int u, int v) const {
+    const std::int32_t* first = targets_.data() + offsets_[u];
+    const std::int32_t* last = targets_.data() + offsets_[u + 1];
+    if (first != last &&
+        static_cast<unsigned>(v) < static_cast<unsigned>(num_vertices_)) {
+      const std::int64_t guess = static_cast<std::int64_t>(v) *
+                                 (last - first) / num_vertices_;
+      if (first[guess] == v) return static_cast<int>(guess);
+    }
+    const std::int32_t* it = std::lower_bound(first, last, v);
+    return it != last && *it == v ? static_cast<int>(it - first) : -1;
+  }
 
   /// All edges as (u, v) pairs with u < v.
   std::vector<Edge> edge_list() const;

@@ -17,9 +17,8 @@ SimStats simulate(const graph::Graph& g, const std::vector<int>& endpoints,
   stats.offered = load;
   stats.accepted_load = net.accepted_load();
   stats.avg_latency = net.avg_latency();
-  std::vector<std::int64_t> sorted = net.measured_latencies();
-  std::sort(sorted.begin(), sorted.end());
-  stats.p50_latency = static_cast<double>(exact_percentile(sorted, 0.50));
+  stats.p50_latency =
+      static_cast<double>(net.latency_counts().percentile(0.50));
   stats.p99_latency = net.p99_latency();
   stats.converged = net.converged();
   stats.delivered_packets = net.delivered_packets();

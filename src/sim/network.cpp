@@ -328,7 +328,7 @@ void Network::reset_scalars() {
   std::fill(terminal_inject_free_.begin(), terminal_inject_free_.end(), 0);
   packets_.clear();
   free_packets_.clear();
-  latencies_.clear();
+  latency_counts_.clear();
   active_routers_ = 0;
   cycle_ = 0;
   rng_ = util::Rng(config_.seed ^ 0x9e3779b97f4a7c15ULL);
@@ -384,13 +384,10 @@ double Network::first_hop_occupancy(int u, int v) const {
 }
 
 int Network::channel_id(int u, int v) const {
-  const auto row = graph_.neighbors(u);
-  const auto* it = std::lower_bound(row.begin(), row.end(), v);
-  if (it == row.end() || *it != v) {
-    throw std::invalid_argument("channel_id: no such link");
-  }
+  const int index = graph_.neighbor_index(u, v);
+  if (index < 0) throw std::invalid_argument("channel_id: no such link");
   return static_cast<int>(channel_offset_[static_cast<std::size_t>(u)] +
-                          (it - row.begin()));
+                          index);
 }
 
 std::int64_t Network::injection_gap(util::Rng& rng) const {
@@ -494,8 +491,8 @@ void Network::eject(int packet_id) {
   if (packet.measured) {
     ++measured_delivered_;
     measured_hops_ += packet.path.len;
-    latencies_.push_back(latency);
-    if (telemetry_) telemetry_->on_delivery(latency, packet.path.len);
+    latency_counts_.add(latency);
+    if (telemetry_) telemetry_->on_delivery(packet.path.len);
   }
   if (telemetry_ && packet.trace_id >= 0) trace_deliver(packet, latency);
   if (workload_mode_) wl_on_delivery(packet);
@@ -1452,20 +1449,10 @@ double Network::accepted_load() const {
           static_cast<double>(terminals_.size()));
 }
 
-double Network::avg_latency() const {
-  if (latencies_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const std::int64_t l : latencies_) sum += static_cast<double>(l);
-  return sum / static_cast<double>(latencies_.size());
-}
+double Network::avg_latency() const { return latency_counts_.mean(); }
 
 double Network::p99_latency() const {
-  if (latencies_.empty()) return 0.0;
-  std::vector<std::int64_t> sorted = latencies_;
-  std::sort(sorted.begin(), sorted.end());
-  const auto index = static_cast<std::size_t>(
-      0.99 * static_cast<double>(sorted.size() - 1));
-  return static_cast<double>(sorted[index]);
+  return static_cast<double>(latency_counts_.percentile(0.99));
 }
 
 bool Network::converged() const {
@@ -1487,10 +1474,9 @@ std::pair<int, int> Network::channel_endpoints(std::size_t channel) const {
 
 PointTelemetry Network::collect_telemetry() const {
   if (!telemetry_) return {};
-  std::vector<std::int64_t> sorted = latencies_;
-  std::sort(sorted.begin(), sorted.end());
-  return telemetry_->finish(
-      sorted, [this](std::size_t c) { return channel_endpoints(c); });
+  return telemetry_->finish(latency_counts_, [this](std::size_t c) {
+    return channel_endpoints(c);
+  });
 }
 
 void Network::trace_inject(const Packet& packet, int terminal) {

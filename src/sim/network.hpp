@@ -246,10 +246,8 @@ class Network {
   /// percentiles, link/VC time series, peak backlog). Empty block when
   /// telemetry is off.
   PointTelemetry collect_telemetry() const;
-  /// The measured per-packet latency sample (delivery order).
-  const std::vector<std::int64_t>& measured_latencies() const {
-    return latencies_;
-  }
+  /// The measured latency distribution (exact counts per value).
+  const LatencyCounts& latency_counts() const { return latency_counts_; }
   /// Wall-clock spent in each phase of the last run_phases() call.
   double warmup_seconds() const { return warmup_seconds_; }
   double measure_seconds() const { return measure_seconds_; }
@@ -630,7 +628,7 @@ class Network {
   std::int64_t measured_flits_ejected_ = 0;
   std::int64_t measured_hops_ = 0;
   int peak_vc_packets_ = 0;
-  std::vector<std::int64_t> latencies_;
+  LatencyCounts latency_counts_;
 
   // Telemetry: null unless config.telemetry.enabled; every hook checks
   // the pointer, so the default path pays one predictable branch.

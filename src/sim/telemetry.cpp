@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace pf::sim {
 
@@ -27,7 +28,7 @@ void TraceSink::append(const char* data, std::size_t size) {
   }
 }
 
-void LogHistogram::add(std::int64_t value) {
+void LogHistogram::add(std::int64_t value, std::int64_t count) {
   if (value < 0) value = 0;
   // bucket = bit_width(value): 0 for 0, b for [2^(b-1), 2^b).
   int bucket = 0;
@@ -37,7 +38,7 @@ void LogHistogram::add(std::int64_t value) {
   if (bucket >= static_cast<int>(buckets_.size())) {
     buckets_.resize(static_cast<std::size_t>(bucket) + 1, 0);
   }
-  ++buckets_[static_cast<std::size_t>(bucket)];
+  buckets_[static_cast<std::size_t>(bucket)] += count;
 }
 
 void LogHistogram::merge(const LogHistogram& other) {
@@ -55,12 +56,59 @@ std::int64_t LogHistogram::total() const {
   return sum;
 }
 
-std::int64_t exact_percentile(const std::vector<std::int64_t>& sorted,
-                              double q) {
-  if (sorted.empty()) return 0;
-  const auto index = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1));
-  return sorted[std::min(index, sorted.size() - 1)];
+void LatencyCounts::add_outside_dense(std::int64_t latency) {
+  if (latency < 0) {
+    throw std::invalid_argument("LatencyCounts: negative latency");
+  }
+  if (latency < kDenseLimit) {
+    dense_.resize(static_cast<std::size_t>(latency) + 1, 0);
+    ++dense_[static_cast<std::size_t>(latency)];
+  } else {
+    spill_.push_back(latency);
+  }
+}
+
+void LatencyCounts::clear() {
+  dense_.clear();
+  spill_.clear();
+  count_ = 0;
+  sum_ = 0.0;
+  order_hash_ = kFnvBasis;
+}
+
+std::int64_t LatencyCounts::percentile(double q) const {
+  if (count_ == 0) return 0;
+  const auto last = static_cast<std::uint64_t>(count_ - 1);
+  const std::uint64_t rank = std::min(
+      static_cast<std::uint64_t>(q * static_cast<double>(last)), last);
+  // Every dense value is below every spilled one: walk the dense counts,
+  // then select within a copy of the (rarely non-empty) spill.
+  std::uint64_t seen = 0;
+  for (std::size_t v = 0; v < dense_.size(); ++v) {
+    seen += static_cast<std::uint64_t>(dense_[v]);
+    if (seen > rank) return static_cast<std::int64_t>(v);
+  }
+  std::vector<std::int64_t> spill = spill_;
+  const auto nth = spill.begin() + static_cast<std::ptrdiff_t>(rank - seen);
+  std::nth_element(spill.begin(), nth, spill.end());
+  return *nth;
+}
+
+std::int64_t LatencyCounts::max() const {
+  if (!spill_.empty()) return *std::max_element(spill_.begin(), spill_.end());
+  for (std::size_t v = dense_.size(); v > 0; --v) {
+    if (dense_[v - 1] != 0) return static_cast<std::int64_t>(v - 1);
+  }
+  return 0;
+}
+
+std::vector<std::int64_t> LatencyCounts::log2_buckets() const {
+  LogHistogram hist;
+  for (std::size_t v = 0; v < dense_.size(); ++v) {
+    if (dense_[v] != 0) hist.add(static_cast<std::int64_t>(v), dense_[v]);
+  }
+  for (const std::int64_t v : spill_) hist.add(v);
+  return hist.buckets();
 }
 
 std::uint64_t telemetry_mix64(std::uint64_t x) {
@@ -144,17 +192,13 @@ void TelemetryCollector::reset() {
   win_class_.clear();
   win_cycles_.clear();
   std::fill(router_peak_.begin(), router_peak_.end(), 0);
-  latency_hist_ = LogHistogram{};
   hops_hist_.clear();
-  latency_max_ = 0;
   // The trace stream deliberately survives reset: a sweep traces every
   // point into one file, with trace ids monotone across points.
   flush_trace();
 }
 
-void TelemetryCollector::on_delivery(std::int64_t latency, int hops) {
-  latency_hist_.add(latency);
-  latency_max_ = std::max(latency_max_, latency);
+void TelemetryCollector::on_delivery(int hops) {
   if (hops < 0) hops = 0;
   if (hops >= static_cast<int>(hops_hist_.size())) {
     hops_hist_.resize(static_cast<std::size_t>(hops) + 1, 0);
@@ -250,16 +294,16 @@ void TelemetryCollector::flush_trace() {
 }
 
 PointTelemetry TelemetryCollector::finish(
-    const std::vector<std::int64_t>& sorted_latencies,
+    const LatencyCounts& latencies,
     const std::function<std::pair<int, int>(std::size_t)>& endpoints) const {
   PointTelemetry out;
   out.present = true;
   out.window = static_cast<int>(window_width_);
-  out.latency_p50 = exact_percentile(sorted_latencies, 0.50);
-  out.latency_p99 = exact_percentile(sorted_latencies, 0.99);
-  out.latency_p999 = exact_percentile(sorted_latencies, 0.999);
-  out.latency_max = latency_max_;
-  out.latency_hist = latency_hist_.buckets();
+  out.latency_p50 = latencies.percentile(0.50);
+  out.latency_p99 = latencies.percentile(0.99);
+  out.latency_p999 = latencies.percentile(0.999);
+  out.latency_max = latencies.max();
+  out.latency_hist = latencies.log2_buckets();
   out.hops_hist = hops_hist_;
 
   // Effective window list: closed windows plus the open partial one.

@@ -1,5 +1,6 @@
-// Congestion & latency telemetry for the cycle-level simulator: latency
-// and hop-count histograms with exact percentile extraction, per-link
+// Congestion & latency telemetry for the cycle-level simulator: the
+// exact measured-latency distribution (counts per value, with exact
+// percentiles), a hop-count histogram, per-link
 // utilization and per-VC-class occupancy time series over fixed-width
 // windows (bounded memory: windows coalesce pairwise when the cap is
 // reached), per-router peak backlog, and a seeded-sampling packet event
@@ -81,7 +82,8 @@ class TraceSink {
 /// merging is elementwise addition (commutative, associative).
 class LogHistogram {
  public:
-  void add(std::int64_t value);
+  /// Counts `value` (negative values count as 0) `count` times.
+  void add(std::int64_t value, std::int64_t count = 1);
   void merge(const LogHistogram& other);
   const std::vector<std::int64_t>& buckets() const { return buckets_; }
   std::int64_t total() const;
@@ -91,12 +93,71 @@ class LogHistogram {
   std::vector<std::int64_t> buckets_;
 };
 
-/// Exact rank-based percentile over an ascending-sorted sample: the
-/// element at index floor(q * (n - 1)) — the same convention as
-/// Network::p99_latency, so telemetry.latency_p99 always equals the
-/// record's p99_latency. Returns 0 on an empty sample.
-std::int64_t exact_percentile(const std::vector<std::int64_t>& sorted,
-                              double q);
+/// The exact distribution of measured packet latencies, kept as a count
+/// per value rather than one entry per packet. Values below kDenseLimit
+/// are counted in a dense array grown to the largest one seen; larger
+/// values go to a spill list that a percentile query searches a copy of.
+/// Memory is one word per latency value up to the largest seen below the
+/// limit, plus one per spilled delivery, rather than one per packet.
+///
+/// Every query equals the same query over the sorted sample: percentile
+/// q is the value at rank floor(q * (n - 1)), max() the largest value,
+/// log2_buckets() the LogHistogram of the sample. mean() divides a double
+/// sum accumulated in add() order, so it is bit-equal to summing the
+/// values in delivery order. order_hash() fingerprints that order, which
+/// the counts themselves forget.
+class LatencyCounts {
+ public:
+  static constexpr std::int64_t kDenseLimit = std::int64_t{1} << 16;
+
+  /// Counts one delivery. A latency is never negative (a packet takes at
+  /// least its own serialization time): negative values throw
+  /// std::invalid_argument.
+  void add(std::int64_t latency) {
+    if (static_cast<std::uint64_t>(latency) < dense_.size()) {
+      ++dense_[static_cast<std::size_t>(latency)];
+    } else {
+      add_outside_dense(latency);
+    }
+    sum_ += static_cast<double>(latency);
+    ++count_;
+    const auto bits = static_cast<std::uint64_t>(latency);
+    for (int byte = 0; byte < 8; ++byte) {
+      order_hash_ ^= (bits >> (8 * byte)) & 0xffU;
+      order_hash_ *= kFnvPrime;
+    }
+  }
+  /// Forgets every delivery (keeps the dense array's capacity).
+  void clear();
+
+  std::int64_t count() const { return count_; }
+  /// Mean latency; 0 on an empty sample.
+  double mean() const {
+    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+  }
+  /// The value at rank floor(q * (n - 1)) of the sorted sample, q in
+  /// [0, 1]; 0 on an empty sample.
+  std::int64_t percentile(double q) const;
+  /// Largest value; 0 on an empty sample.
+  std::int64_t max() const;
+  /// Log2 buckets of the sample, as LogHistogram::buckets() reports them.
+  std::vector<std::int64_t> log2_buckets() const;
+  /// FNV-1a over each value's eight little-endian bytes, in add() order,
+  /// from the FNV offset basis.
+  std::uint64_t order_hash() const { return order_hash_; }
+
+ private:
+  static constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+  void add_outside_dense(std::int64_t latency);
+
+  std::vector<std::int64_t> dense_;  ///< dense_[v] = deliveries of latency v
+  std::vector<std::int64_t> spill_;  ///< latencies >= kDenseLimit, add order
+  std::int64_t count_ = 0;
+  double sum_ = 0.0;
+  std::uint64_t order_hash_ = kFnvBasis;
+};
 
 /// SplitMix64 finalizer — the trace-sampling hash.
 std::uint64_t telemetry_mix64(std::uint64_t x);
@@ -179,8 +240,8 @@ class TelemetryCollector {
     const auto r = static_cast<std::size_t>(router);
     if (backlog > router_peak_[r]) router_peak_[r] = backlog;
   }
-  /// A measured packet was delivered.
-  void on_delivery(std::int64_t latency, int hops);
+  /// A measured packet was delivered after `hops` links.
+  void on_delivery(int hops);
   /// Called once per simulated cycle, after all movement.
   void end_cycle();
   /// Bulk equivalent of `cycles` consecutive end_cycle() calls over an
@@ -200,11 +261,11 @@ class TelemetryCollector {
   void trace_line(const char* data, std::size_t size);
   void flush_trace();
 
-  /// Extracts the per-point block. `sorted_latencies` is the measured
-  /// latency sample, ascending; `endpoints` maps a directed channel id
-  /// to its (upstream, downstream) routers (called O(top_links) times).
+  /// Extracts the per-point block. `latencies` is the measured latency
+  /// distribution; `endpoints` maps a directed channel id to its
+  /// (upstream, downstream) routers (called O(top_links) times).
   PointTelemetry finish(
-      const std::vector<std::int64_t>& sorted_latencies,
+      const LatencyCounts& latencies,
       const std::function<std::pair<int, int>(std::size_t)>& endpoints)
       const;
 
@@ -231,9 +292,7 @@ class TelemetryCollector {
   std::vector<std::int64_t> win_cycles_;  ///< actual span of each window
 
   std::vector<int> router_peak_;
-  LogHistogram latency_hist_;
   std::vector<std::int64_t> hops_hist_;
-  std::int64_t latency_max_ = 0;
 
   int next_trace_id_ = 0;
   std::int64_t trace_events_ = 0;

@@ -3,10 +3,14 @@
 // latency/throughput sanity at low load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/polarfly.hpp"
 #include "exp/engine.hpp"
@@ -745,13 +749,11 @@ TEST(Simulator, ResetAfterStalledRunMatchesFreshConstruction) {
 /// Runs the same scenario under both engines and expects every measured
 /// statistic to match bit for bit.
 /// FNV-1a of a finished run's order-sensitive outputs: every measured
-/// latency in delivery order, then the delivered count, the peak VC
-/// depth and the final cycle.
+/// latency in delivery order (the FNV-1a the latency counts fold as they
+/// count), then the delivered count, the peak VC depth and the final
+/// cycle.
 std::uint64_t run_hash(const sim::Network& net) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::int64_t latency : net.measured_latencies()) {
-    fnv1a(h, static_cast<std::uint64_t>(latency));
-  }
+  std::uint64_t h = net.latency_counts().order_hash();
   fnv1a(h, static_cast<std::uint64_t>(net.delivered_packets()));
   fnv1a(h, static_cast<std::uint64_t>(net.peak_vc_packets()));
   fnv1a(h, static_cast<std::uint64_t>(net.current_cycle()));
@@ -1071,6 +1073,76 @@ TEST(Simulator, VcQueueOrderIsPinned) {
         EXPECT_EQ(hr, reset_pin) << "reset engine "
                                  << static_cast<int>(engine) << " 0x"
                                  << std::hex << hr;
+      }
+    }
+  }
+}
+
+/// lower_bound's position of v in u's sorted row, or -1: the binary
+/// search that Graph::neighbor_index replaces.
+int reference_index(const graph::Graph& g, int u, int v) {
+  const auto row = g.neighbors(u);
+  const auto* it = std::lower_bound(row.begin(), row.end(), v);
+  return it != row.end() && *it == v ? static_cast<int>(it - row.begin())
+                                     : -1;
+}
+
+TEST(ChannelId, NeighborIndexMatchesBinarySearchOnEveryFamily) {
+  // A small instance of every registry family, plus the largest PolarFly
+  // the benchmark runs and two wide HyperX graphs: PolarFly and K65xK2
+  // rows are evenly spread, so most lookups hit the interpolated entry,
+  // while Dragonfly and K65xK65 (degree 128) rows cluster, so most fall
+  // back to the binary search.
+  const std::vector<std::string> specs = {
+      "pf:q=7",        "pfx:q=5,n=2",         "pfx:q=5,n=1,quadric=1",
+      "sf:q=5",        "df:a=4,h=2,p=2",      "ft:levels=3,arity=4",
+      "jf:n=30,k=4,seed=9", "hyperx:a=5",     "torus:k=4,d=2",
+      "hypercube:d=5", "brown:q=5",           "petersen",
+      "hs",            "pf:q=47",             "hyperx:a=65,b=2",
+      "hyperx:a=65",
+  };
+  for (const std::string& spec : specs) {
+    const graph::Graph g = topo::make_topology(spec).graph;
+    const int n = g.num_vertices();
+    // Non-edges: every pair on small graphs, a stride on large ones.
+    const int stride = n > 500 ? 97 : 1;
+    std::int64_t edges = 0;
+    std::int64_t non_edges = 0;
+    for (int u = 0; u < n; ++u) {
+      for (const int v : g.neighbors(u)) {
+        ASSERT_EQ(g.neighbor_index(u, v), reference_index(g, u, v))
+            << spec << ' ' << u << "->" << v;
+        ++edges;
+      }
+      for (int v = u % stride; v < n; v += stride) {
+        if (reference_index(g, u, v) >= 0) continue;
+        ASSERT_EQ(g.neighbor_index(u, v), -1) << spec << ' ' << u << ' ' << v;
+        ++non_edges;
+      }
+      ASSERT_EQ(g.neighbor_index(u, -1), -1) << spec;
+      ASSERT_EQ(g.neighbor_index(u, n), -1) << spec;
+    }
+    EXPECT_EQ(edges, 2 * g.num_edges()) << spec;
+    EXPECT_GT(non_edges, 0) << spec;
+  }
+}
+
+TEST(ChannelId, NonEdgesThrow) {
+  // Network::channel_id backs first_hop_occupancy: every link resolves,
+  // and every non-link (self-pairs included) throws.
+  PfFixture fx;
+  const sim::MinimalRouting min_routing(fx.pf.graph(), fx.oracle);
+  const sim::Network net(fx.pf.graph(), fx.endpoints, min_routing,
+                         fx.pattern, sim::SimConfig{}, 0.1);
+  const graph::Graph& g = fx.pf.graph();
+  for (int u = 0; u < g.num_vertices(); ++u) {
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      if (g.has_edge(u, v)) {
+        EXPECT_EQ(net.first_hop_occupancy(u, v), 0.0) << u << "->" << v;
+      } else {
+        EXPECT_THROW((void)net.first_hop_occupancy(u, v),
+                     std::invalid_argument)
+            << u << ' ' << v;
       }
     }
   }

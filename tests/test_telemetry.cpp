@@ -1,4 +1,4 @@
-// The telemetry layer: exact percentile extraction vs a sorted
+// The telemetry layer: the exact latency distribution vs a sorted
 // reference, log-histogram bucketing and merge algebra, the
 // no-perturbation guarantee (telemetry on == telemetry off in every
 // measured field), serial-vs-sharded bit-identity of merged telemetry,
@@ -6,8 +6,13 @@
 // reproducibility by seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/diff.hpp"
@@ -17,32 +22,194 @@
 #include "exp/suite.hpp"
 #include "sim/network.hpp"
 #include "sim/telemetry.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+/// Bytes this thread has requested from operator new, so a test can
+/// bound what a piece of code allocates without a hook in the code.
+thread_local std::size_t t_new_bytes = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  t_new_bytes += size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined into a caller, free() next to that caller's new
+// reads to GCC as a mismatched pair.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
 using namespace pf;
 
-// ---- exact_percentile ----------------------------------------------------
+// ---- latency distribution -----------------------------------------------
+
+/// A LatencyCounts holding `values`, added in order.
+sim::LatencyCounts counts_of(const std::vector<std::int64_t>& values) {
+  sim::LatencyCounts counts;
+  for (const std::int64_t v : values) counts.add(v);
+  return counts;
+}
 
 TEST(Percentile, MatchesTheSortedReferenceConvention) {
   // The element at floor(q * (n - 1)) — the Network::p99_latency
   // convention, checked against hand-computed ranks.
-  const std::vector<std::int64_t> sorted{10, 20, 30, 40};
-  EXPECT_EQ(sim::exact_percentile(sorted, 0.0), 10);
-  EXPECT_EQ(sim::exact_percentile(sorted, 0.5), 20);   // floor(1.5)
-  EXPECT_EQ(sim::exact_percentile(sorted, 0.99), 30);  // floor(2.97)
-  EXPECT_EQ(sim::exact_percentile(sorted, 1.0), 40);
-  EXPECT_EQ(sim::exact_percentile({}, 0.5), 0);
-  EXPECT_EQ(sim::exact_percentile({7}, 0.999), 7);
+  const sim::LatencyCounts sorted = counts_of({10, 20, 30, 40});
+  EXPECT_EQ(sorted.percentile(0.0), 10);
+  EXPECT_EQ(sorted.percentile(0.5), 20);   // floor(1.5)
+  EXPECT_EQ(sorted.percentile(0.99), 30);  // floor(2.97)
+  EXPECT_EQ(sorted.percentile(1.0), 40);
+  EXPECT_EQ(counts_of({}).percentile(0.5), 0);
+  EXPECT_EQ(counts_of({7}).percentile(0.999), 7);
 
   // Against a brute-force reference on a larger sample.
   std::vector<std::int64_t> big;
   for (int i = 0; i < 1000; ++i) big.push_back(i * 3);
+  const sim::LatencyCounts counts = counts_of(big);
   for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
     const auto rank = static_cast<std::size_t>(
         q * static_cast<double>(big.size() - 1));
-    EXPECT_EQ(sim::exact_percentile(big, q), big[rank]) << q;
+    EXPECT_EQ(counts.percentile(q), big[rank]) << q;
   }
+}
+
+/// The old per-packet storage, queried the old way: the sample in
+/// delivery order, sorted for ranks, summed in order for the mean.
+struct SortedReference {
+  explicit SortedReference(std::vector<std::int64_t> values)
+      : in_order(std::move(values)), sorted(in_order) {
+    std::sort(sorted.begin(), sorted.end());
+  }
+  std::int64_t percentile(double q) const {
+    if (sorted.empty()) return 0;
+    const auto index = static_cast<std::size_t>(
+        q * static_cast<double>(sorted.size() - 1));
+    return sorted[std::min(index, sorted.size() - 1)];
+  }
+  double mean() const {
+    if (in_order.empty()) return 0.0;
+    double sum = 0.0;
+    for (const std::int64_t v : in_order) sum += static_cast<double>(v);
+    return sum / static_cast<double>(in_order.size());
+  }
+  std::vector<std::int64_t> buckets() const {
+    sim::LogHistogram hist;
+    for (const std::int64_t v : in_order) hist.add(v);
+    return hist.buckets();
+  }
+  std::uint64_t order_hash() const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::int64_t v : in_order) {
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (static_cast<std::uint64_t>(v) >> (8 * byte)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    return h;
+  }
+
+  std::vector<std::int64_t> in_order;
+  std::vector<std::int64_t> sorted;
+};
+
+void expect_matches_reference(const sim::LatencyCounts& counts,
+                              const std::vector<std::int64_t>& values,
+                              const std::string& name) {
+  const SortedReference ref(values);
+  EXPECT_EQ(counts.count(), static_cast<std::int64_t>(values.size())) << name;
+  for (const double q : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(counts.percentile(q), ref.percentile(q)) << name << " q=" << q;
+  }
+  EXPECT_EQ(counts.max(), ref.sorted.empty() ? 0 : ref.sorted.back()) << name;
+  EXPECT_EQ(counts.log2_buckets(), ref.buckets()) << name;
+  // Bit-equal, not merely close: the running sum adds in the same order.
+  EXPECT_EQ(counts.mean(), ref.mean()) << name;
+  EXPECT_EQ(counts.order_hash(), ref.order_hash()) << name;
+}
+
+TEST(LatencyCounts, MatchesTheSortedReference) {
+  constexpr std::int64_t kLimit = sim::LatencyCounts::kDenseLimit;
+  util::Rng rng(0x1a7e9c5ULL);
+  std::vector<std::int64_t> random;
+  for (int i = 0; i < 20000; ++i) {
+    // Mostly short latencies with a long tail, like a loaded network.
+    const std::uint64_t r = rng.below(100);
+    random.push_back(static_cast<std::int64_t>(
+        r < 90 ? 4 + rng.below(60) : r < 99 ? 64 + rng.below(4000)
+                                            : rng.below(3 * kLimit)));
+  }
+  std::vector<std::int64_t> above;  // straddles the dense bound
+  for (int i = 0; i < 500; ++i) {
+    above.push_back(static_cast<std::int64_t>(rng.below(2 * kLimit)));
+  }
+  above.insert(above.end(), {kLimit - 1, kLimit, kLimit + 1,
+                             std::int64_t{1000000000000}, 0, kLimit});
+  std::vector<std::int64_t> only_above;
+  for (int i = 0; i < 300; ++i) {
+    only_above.push_back(kLimit + static_cast<std::int64_t>(rng.below(50)));
+  }
+  const std::vector<std::pair<std::string, std::vector<std::int64_t>>> cases =
+      {
+          {"random", random},
+          {"empty", {}},
+          {"one", {17}},
+          {"zero", {0}},
+          {"all-equal", std::vector<std::int64_t>(1000, 42)},
+          {"above-bound", above},
+          {"only-above-bound", only_above},
+      };
+  for (const auto& [name, values] : cases) {
+    expect_matches_reference(counts_of(values), values, name);
+  }
+
+  // A query leaves the counts as they were; later deliveries still count.
+  sim::LatencyCounts counts = counts_of(above);
+  ASSERT_EQ(counts.percentile(1.0), 1000000000000);
+  std::vector<std::int64_t> more = above;
+  for (const std::int64_t v : {3 * kLimit, std::int64_t{5}, kLimit + 7}) {
+    counts.add(v);
+    more.push_back(v);
+  }
+  expect_matches_reference(counts, more, "added-after-query");
+}
+
+TEST(LatencyCounts, ClearForgetsEverything) {
+  sim::LatencyCounts counts = counts_of({5, 9, 1 << 20, 12});
+  counts.clear();
+  expect_matches_reference(counts, {}, "cleared");
+  counts.add(3);
+  counts.add(1 << 20);
+  expect_matches_reference(counts, {3, 1 << 20}, "reused");
+}
+
+TEST(LatencyCounts, StaysSmallForLongRuns) {
+  // A million deliveries over a few hundred distinct latencies, plus one
+  // enormous outlier: a word per distinct value, not per delivery (the
+  // per-packet vector held 8 MB). Every allocation counts, including
+  // the ones the dense array's growth later frees.
+  util::Rng rng(7);
+  const std::size_t before = t_new_bytes;
+  sim::LatencyCounts counts;
+  for (int i = 0; i < 1000000; ++i) {
+    counts.add(static_cast<std::int64_t>(8 + rng.below(300)));
+  }
+  counts.add(1000000000000);
+  const std::size_t allocated = t_new_bytes - before;
+  EXPECT_EQ(counts.count(), 1000001);
+  EXPECT_EQ(counts.max(), 1000000000000);
+  EXPECT_GT(allocated, 0U);
+  EXPECT_LT(allocated, std::size_t{16} << 10);
+}
+
+TEST(LatencyCounts, RejectsNegativeLatencies) {
+  sim::LatencyCounts counts;
+  EXPECT_THROW(counts.add(-1), std::invalid_argument);
 }
 
 TEST(LogHistogram, BucketsByLog2AndMergesElementwise) {
