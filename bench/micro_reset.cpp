@@ -1,5 +1,6 @@
 // Microbenchmarks: Network::reset vs constructing a new Network per
-// point — the acceptance configs of the O(touched)-cost reset. Every
+// point. Reset re-assigns every run-state array but keeps the channel
+// tables, the construction work that does not depend on the run. Every
 // case runs the SAME simulation, either rebuilding the network for each
 // point (arg 0, "reconstruct") or rewinding one instance with reset()
 // (arg 1, "reset"); the two are bit-identical (enforced by test_sim), so

@@ -17,11 +17,24 @@ document written by `bench/e2e/run.py --out`, relative to the repository
 root. The selected runs are those whose `provenance.git_dirty`, `seed`
 and `trace` (default 0, the plain runs) match and that measured the
 workload; each metric is the median over them of the run's value. The
-last len(metrics) cells of the row hold the metrics in order, each a
-number with an optional `k` (thousands) and a unit. The script
-recomputes each number at the printed precision and exits 1 on any
-mismatch. In a table with one marked row, every body row must be
-marked, and a file without any marked row fails too.
+last len(metrics) cells of the row hold the metrics in order.
+
+A row can instead name Google Benchmark results (the JSON that
+`--benchmark_out_format=json` writes):
+
+    | reset cost, PF q=13 <!-- perf-claim record=BENCH_reset.json
+      benchmarks=BM_ResetCostQ13/0,BM_ResetCostQ13/1 metric=real_time -->
+      | 73.7 us | 9.8 us |
+
+The last len(benchmarks) cells hold `metric` of each named benchmark in
+order: `real_time` or `cpu_time`, converted to the cell's time unit
+(ns, us, ms or s), or a user counter such as `cycles/s`.
+
+Each cell is a number with an optional `k` (thousands) or `M`
+(millions) and a unit. The script recomputes each number at the printed
+precision and exits 1 on any mismatch. In a table with one marked row,
+every body row must be marked, and a file without any marked row fails
+too.
 """
 
 import json
@@ -32,12 +45,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MARKER = re.compile(r"<!--\s*perf-claim\s+(.*?)\s*-->")
-CELL = re.compile(r"^([0-9]+(?:\.[0-9]+)?)(\s*k)?(\s*[A-Za-z/%]+)?$")
-SCALE = {"": 1.0, "k": 1e3}
+CELL = re.compile(
+    r"^([0-9]+(?:\.[0-9]+)?)(\s*[kM](?![A-Za-z]))?(\s*[A-Za-z/%]+)?$")
+SCALE = {"": 1.0, "k": 1e3, "M": 1e6}
+NANOS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+TIMES = ("real_time", "cpu_time")
 
 
 def parse_marker(text):
     fields = dict(item.split("=", 1) for item in text.split())
+    if "benchmarks" in fields:
+        for key in ("record", "metric"):
+            if key not in fields:
+                raise ValueError(f"marker lacks '{key}='")
+        return {
+            "record": fields["record"],
+            "benchmarks": fields["benchmarks"].split(","),
+            "metric": fields["metric"],
+        }
     for key in ("record", "git_dirty", "seed", "workload", "metrics"):
         if key not in fields:
             raise ValueError(f"marker lacks '{key}='")
@@ -57,37 +82,68 @@ def cells(row):
     return [c.strip() for c in row.strip().strip("|").split("|")]
 
 
+def benchmark_values(sel, record):
+    """(value, is_time) per named benchmark; times are in nanoseconds."""
+    by_name = {b["name"]: b for b in record["benchmarks"]}
+    values = []
+    for name in sel["benchmarks"]:
+        if name not in by_name:
+            raise ValueError(f"{sel['record']} has no benchmark {name}")
+        bench, metric = by_name[name], sel["metric"]
+        if metric not in bench:
+            raise ValueError(f"benchmark {name} has no '{metric}'")
+        if metric in TIMES:
+            values.append((bench[metric] * NANOS[bench["time_unit"]], True))
+        else:
+            values.append((bench[metric], False))
+    return values
+
+
 def expected(sel, records):
+    """(value, is_time) for each checked cell of the row, in order."""
     path = ROOT / sel["record"]
     if path not in records:
         records[path] = json.loads(path.read_text())
+    if "benchmarks" in sel:
+        return benchmark_values(sel, records[path])
     runs = [r for r in records[path]["runs"]
             if r["provenance"]["git_dirty"] == sel["dirty"]
             and r["seed"] == sel["seed"] and r["trace"] == sel["trace"]
             and sel["workload"] in r["workloads"]]
     if not runs:
         raise ValueError(f"{sel['record']} has no run matching the marker")
-    return {m: statistics.median(
-                r["workloads"][sel["workload"]]["metrics"][m]["value"]
-                for r in runs)
-            for m in sel["metrics"]}
+    return [(statistics.median(
+                 r["workloads"][sel["workload"]]["metrics"][m]["value"]
+                 for r in runs), False)
+            for m in sel["metrics"]]
 
 
 def check_row(row, sel, records):
     errors = []
     values = expected(sel, records)
-    printed = cells(row)[-len(sel["metrics"]):]
-    for metric, cell in zip(sel["metrics"], printed):
+    names = sel.get("benchmarks") or sel["metrics"]
+    printed = cells(row)[-len(names):]
+    for name, (value, is_time), cell in zip(names, values, printed):
         match = CELL.match(cell)
         if not match:
-            errors.append(f"{metric}: cannot read the number in '{cell}'")
+            errors.append(f"{name}: cannot read the number in '{cell}'")
             continue
         number, scale = match.group(1), (match.group(2) or "").strip()
+        unit = (match.group(3) or "").strip()
+        if is_time:
+            if scale or unit not in NANOS:
+                errors.append(f"{name}: '{cell}' needs a time unit "
+                              f"({', '.join(NANOS)})")
+                continue
+            value /= NANOS[unit]
+        else:
+            value /= SCALE[scale]
         digits = len(number.split(".")[1]) if "." in number else 0
-        want = f"{values[metric] / SCALE[scale]:.{digits}f}"
+        want = f"{value:.{digits}f}"
         if want != number:
-            errors.append(f"{metric}: printed {cell!r}, the record gives "
-                          f"{want}{' ' + scale if scale else ''}")
+            shown = unit if is_time else scale
+            errors.append(f"{name}: printed {cell!r}, the record gives "
+                          f"{want}{' ' + shown if shown else ''}")
     return errors
 
 

@@ -35,11 +35,9 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
       routing_(routing),
       pattern_(pattern),
       config_(config),
-      load_(load),
       workload_(workload),
       workload_mode_(workload != nullptr),
-      endpoints_(endpoints),
-      rng_(config.seed ^ 0x9e3779b97f4a7c15ULL) {
+      endpoints_(endpoints) {
   // The packet pool sets the peak RSS of saturated sweeps (bench/e2e's
   // q13_sweep): every byte added here is paid by every pooled packet.
   static_assert(sizeof(Packet) <= 144, "Network::Packet grew past 144 B");
@@ -74,8 +72,6 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
         " exceeds the 64-VC limit of the allocator bitmask");
   }
   terminals_ = terminal_routers(endpoints_);
-  terminal_eject_free_.assign(terminals_.size(), 0);
-  terminal_inject_free_.assign(terminals_.size(), 0);
   if (workload_mode_ &&
       workload_->num_ranks() != static_cast<int>(terminals_.size())) {
     throw std::invalid_argument(
@@ -123,42 +119,14 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
     max_in_degree = std::max(max_in_degree, in.size());
   }
   in_words_ = std::max<std::size_t>(1, (max_in_degree + 63) / 64);
-  in_nonempty_.assign(static_cast<std::size_t>(n) * in_words_, 0);
-  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-  wake_now_.assign(words, 0);
-  wake_next_.assign(words, 0);
-  agenda_tag_.assign(static_cast<std::size_t>(n),
-                     std::numeric_limits<std::int64_t>::min());
   visit_all_ = config_.engine == SimEngine::Cycle;
-  channel_occupancy_.assign(num_channels, 0);
-  waiting_for_output_.assign(num_channels, 0);
+  // A ring's ends are storage, not state: they are read only while its
+  // ring_size_ entry is nonzero, and the push into an empty ring writes
+  // both, so reset leaves them alone.
   const std::size_t num_rings =
       num_channels * static_cast<std::size_t>(vcs_used_);
   ring_ends_.assign(num_rings, RingEnds{-1, -1});
-  ring_size_.assign(num_rings, 0);
   gather_ = num_rings * sizeof(RingEnds) > kGatherMinRingBytes;
-  vc_nonempty_.assign(num_channels, 0);
-  link_busy_until_.assign(num_channels, 0);
-  injection_pool_.assign(static_cast<std::size_t>(n), {});
-  router_backlog_.assign(static_cast<std::size_t>(n), 0);
-  channel_dirty_.assign(num_channels, 0);
-  router_dirty_.assign(static_cast<std::size_t>(n), 0);
-
-  // Capture the injection-stream snapshots the incremental reset
-  // restores: the fresh per-terminal state, the state after the single
-  // uniform draw of the first gap sample, and that draw's log1p(-u)
-  // (the offered load only enters the gap through the denominator, so
-  // the numerator is reusable across every reset).
-  inj_snap0_.reserve(terminals_.size());
-  inj_snap1_.reserve(terminals_.size());
-  inj_log1m_u_.resize(terminals_.size());
-  for (std::size_t t = 0; t < terminals_.size(); ++t) {
-    util::Rng r(config_.seed +
-                0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(t) + 1));
-    inj_snap0_.push_back(r);
-    inj_log1m_u_[t] = std::log1p(-r.uniform());
-    inj_snap1_.push_back(r);
-  }
 
   has_timeline_ = !config_.faults.empty();
   if (has_timeline_) {
@@ -189,146 +157,43 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
         recon_slot_[i] = static_cast<int>(down_events_++);
       }
     }
-    channel_dead_.assign(num_channels, 0);
-    router_dead_.assign(static_cast<std::size_t>(n), 0);
   }
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<TelemetryCollector>(
         config_.telemetry, num_channels, n, classes_, config_.packet_size);
   }
-  reset_state();  // builds the injection schedule; everything above holds
+  reset(load);
 }
 
 Network::~Network() = default;
 
 void Network::reset(double load) {
   load_ = load;
-  reset_state();
-}
+  const auto n = static_cast<std::size_t>(graph_.num_vertices());
+  const std::size_t num_channels = channel_target_.size();
+  const std::size_t num_rings =
+      num_channels * static_cast<std::size_t>(vcs_used_);
 
-void Network::reset_state() {
-  reset_injection();
-  reset_arrays();
-  reset_scalars();
-}
-
-void Network::reset_injection() {
-  inject_heap_.clear();
-  if (workload_mode_) {
-    // Workload mode replaces the Bernoulli schedule entirely: fresh
-    // per-terminal RNG streams (still consumed for sub-VC draws) and an
-    // empty heap (wl_reset seeds it).
-    inj_log1m_p_ = 0.0;
-    terminal_rng_ = inj_snap0_;
-    return;
-  }
-  // Every terminal's first wakeup is sampled as if its previous injection
-  // happened at cycle -1, so P(first injection at cycle 0) is exactly the
-  // per-cycle rate. No RNG stream is re-derived: the captured states are
-  // restored and each first gap is recomputed from the captured
-  // log1p(-u) — injection_gap's exact floor(log1p(-u) / log1p(-p))
-  // arithmetic on the exact same doubles. The heap is built by one
-  // make_heap; a min-heap of distinct (time, terminal) pairs pops in an
-  // order determined by its contents alone.
-  const double p =
-      load_ / static_cast<double>(std::max(1, config_.packet_size));
-  // Hoist the constant denominator of injection_gap's inverse-CDF sample
-  // (one log1p per reset instead of one per packet); the division is
-  // unchanged, so every sampled gap is bit-identical.
-  inj_log1m_p_ = (p > 0.0 && p < 1.0) ? std::log1p(-p) : 0.0;
-  if (p <= 0.0) {
-    // injection_gap returns kNeverInject without drawing: fresh streams.
-    terminal_rng_ = inj_snap0_;
-    return;
-  }
-  if (p >= 1.0) {
-    // injection_gap returns 1 without drawing: fresh streams, every
-    // terminal due at cycle -1 + 1 = 0.
-    terminal_rng_ = inj_snap0_;
-    for (std::size_t t = 0; t < terminals_.size(); ++t) {
-      inject_heap_.emplace_back(0, static_cast<int>(t));
-    }
-  } else {
-    terminal_rng_ = inj_snap1_;  // the one uniform draw is consumed
-    for (std::size_t t = 0; t < terminals_.size(); ++t) {
-      const double failures = std::floor(inj_log1m_u_[t] / inj_log1m_p_);
-      if (!(failures < static_cast<double>(kNeverInject))) continue;
-      const std::int64_t at =
-          static_cast<std::int64_t>(std::max(0.0, failures));  // -1 + gap
-      inject_heap_.emplace_back(at, static_cast<int>(t));
-    }
-  }
-  std::make_heap(inject_heap_.begin(), inject_heap_.end(), std::greater<>());
-}
-
-void Network::reset_arrays() {
-  // O(touched): only channels that ever buffered/reserved a packet and
-  // routers that ever had backlog since the previous reset are cleared.
-  //
-  // ring_ends_ is deliberately NOT reset: a VC queue's front and back
-  // are only read while its ring_size_ is nonzero, and the push into an
-  // empty queue overwrites both. Only ring_size_ carries simulation
-  // state.
-  //
-  // After a run that drained every packet (free list back to full) with
-  // no runtime fault timeline, the per-channel counters are already back
-  // at zero by their own accounting — occupancy and vc_nonempty fall on
-  // every pop, waiting_for_output_ on every source departure — and the
-  // only residue is link_busy_until_'s stale timestamps, which would
-  // read as "busy" against the restarted cycle counter.
-  const bool drained_clean =
-      !has_timeline_ && free_packets_.size() == packets_.size();
-  if (drained_clean) {
-    for (const std::int32_t ci : dirty_channels_) {
-      const auto c = static_cast<std::size_t>(ci);
-      link_busy_until_[c] = 0;
-      channel_dirty_[c] = 0;
-    }
-  } else if (dirty_channels_.size() * kBulkClearDiv >=
-             channel_occupancy_.size()) {
-    // Mostly-dirty after an aborted drain: scattered per-channel stores
-    // lose to the hardware's contiguous fill bandwidth.
-    std::fill(channel_occupancy_.begin(), channel_occupancy_.end(), 0);
-    std::fill(waiting_for_output_.begin(), waiting_for_output_.end(), 0);
-    std::fill(ring_size_.begin(), ring_size_.end(), 0);
-    std::fill(vc_nonempty_.begin(), vc_nonempty_.end(), 0);
-    std::fill(link_busy_until_.begin(), link_busy_until_.end(), 0);
-    for (const std::int32_t c : dirty_channels_) {
-      channel_dirty_[static_cast<std::size_t>(c)] = 0;
-    }
-  } else {
-    for (const std::int32_t ci : dirty_channels_) {
-      const auto c = static_cast<std::size_t>(ci);
-      channel_occupancy_[c] = 0;
-      waiting_for_output_[c] = 0;
-      vc_nonempty_[c] = 0;
-      link_busy_until_[c] = 0;
-      const std::size_t base = ring_of(ci, 0);
-      std::fill_n(ring_size_.begin() + static_cast<std::ptrdiff_t>(base),
-                  vcs_used_, std::uint16_t{0});
-      channel_dirty_[c] = 0;
-    }
-  }
-  dirty_channels_.clear();
-  for (const int v : dirty_routers_) {
-    const auto vi = static_cast<std::size_t>(v);
-    router_backlog_[vi] = 0;
-    injection_pool_[vi].clear();
-    std::fill_n(in_nonempty_.begin() +
-                    static_cast<std::ptrdiff_t>(vi * in_words_),
-                in_words_, 0);
-    agenda_tag_[vi] = std::numeric_limits<std::int64_t>::min();
-    router_dirty_[vi] = 0;
-  }
-  dirty_routers_.clear();
-}
-
-void Network::reset_scalars() {
-  std::fill(terminal_eject_free_.begin(), terminal_eject_free_.end(), 0);
-  std::fill(terminal_inject_free_.begin(), terminal_inject_free_.end(), 0);
+  // Per-channel, per-router and per-terminal state, every entry.
+  channel_occupancy_.assign(num_channels, 0);
+  waiting_for_output_.assign(num_channels, 0);
+  ring_size_.assign(num_rings, 0);
+  vc_nonempty_.assign(num_channels, 0);
+  link_busy_until_.assign(num_channels, 0);
+  in_nonempty_.assign(n * in_words_, 0);
+  wake_now_.assign((n + 63) / 64, 0);
+  wake_next_.assign((n + 63) / 64, 0);
+  agenda_.clear();
+  agenda_tag_.assign(n, std::numeric_limits<std::int64_t>::min());
+  router_backlog_.assign(n, 0);
+  injection_pool_.resize(n);
+  for (auto& pool : injection_pool_) pool.clear();
+  terminal_eject_free_.assign(terminals_.size(), 0);
+  terminal_inject_free_.assign(terminals_.size(), 0);
   packets_.clear();
   free_packets_.clear();
-  latency_counts_.clear();
+
+  // Scalars and measurement.
   active_routers_ = 0;
   cycle_ = 0;
   rng_ = util::Rng(config_.seed ^ 0x9e3779b97f4a7c15ULL);
@@ -340,25 +205,23 @@ void Network::reset_scalars() {
   measured_flits_ejected_ = 0;
   measured_hops_ = 0;
   peak_vc_packets_ = 0;
-  stalled_ = false;
-  measured_lost_ = 0;
-  last_delivery_cycle_ = 0;
+  latency_counts_.clear();
   if (telemetry_) telemetry_->reset();
   warmup_seconds_ = 0.0;
   measure_seconds_ = 0.0;
   drain_seconds_ = 0.0;
+
+  // Fault state, rearming the timeline from its first event.
+  stalled_ = false;
+  measured_lost_ = 0;
+  last_delivery_cycle_ = 0;
   total_ejected_flits_ = 0;
   prev_total_flits_ = 0;
-  // O(routers / 64) words; the per-router agenda state is cleared by
-  // the array pass above.
-  std::fill(wake_now_.begin(), wake_now_.end(), 0);
-  std::fill(wake_next_.begin(), wake_next_.end(), 0);
-  agenda_.clear();
   if (has_timeline_) {
     next_fault_ = 0;
     any_dead_ = false;
-    std::fill(channel_dead_.begin(), channel_dead_.end(), 0);
-    std::fill(router_dead_.begin(), router_dead_.end(), 0);
+    channel_dead_.assign(num_channels, 0);
+    router_dead_.assign(n, 0);
     degradation_ = DegradationStats{};
     degradation_.reconvergence.assign(down_events_, -1);
     unreachable_seen_.clear();
@@ -367,7 +230,37 @@ void Network::reset_scalars() {
     window_total_ = 0;
     degraded_oracle_.reset();
   }
-  if (workload_mode_) wl_reset();
+
+  // Each terminal's own stream, derived from the seed. Its first wakeup
+  // is sampled as if its previous injection happened at cycle -1, so
+  // P(first injection at cycle 0) is exactly the per-cycle rate.
+  terminal_rng_.clear();
+  for (std::size_t t = 0; t < terminals_.size(); ++t) {
+    terminal_rng_.emplace_back(
+        config_.seed +
+        0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(t) + 1));
+  }
+  inject_heap_.clear();
+  if (workload_mode_) {
+    // The workload's send lists replace the Bernoulli schedule; the
+    // streams are still consumed for sub-VC draws.
+    inj_log1m_p_ = 0.0;
+    wl_reset();
+    return;
+  }
+  // Hoist the constant denominator of injection_gap's inverse-CDF sample
+  // (one log1p per reset instead of one per packet); the division is
+  // unchanged, so every sampled gap is bit-identical.
+  const double p =
+      load_ / static_cast<double>(std::max(1, config_.packet_size));
+  inj_log1m_p_ = (p > 0.0 && p < 1.0) ? std::log1p(-p) : 0.0;
+  for (std::size_t t = 0; t < terminals_.size(); ++t) {
+    const std::int64_t gap = injection_gap(terminal_rng_[t]);
+    if (gap != kNeverInject) {
+      inject_heap_.emplace_back(gap - 1, static_cast<int>(t));
+    }
+  }
+  std::make_heap(inject_heap_.begin(), inject_heap_.end(), std::greater<>());
 }
 
 double Network::first_hop_occupancy(int u, int v) const {
@@ -571,7 +464,6 @@ void Network::kill_link(int u, int v) {
 
 void Network::flush_dead_channel(int channel) {
   const auto c = static_cast<std::size_t>(channel);
-  mark_channel(c);
   const int target = channel_target_[c];
   int flushed = 0;
   for (int vc = 0; vc < vcs_used_; ++vc) {
@@ -770,9 +662,7 @@ bool Network::try_dispatch(int packet_id, int at_router) {
     } else if ((ev_dirty_ = true,
                 pick_route(packet.src_router, dst_router, packet.path))) {
       // The packet now queues for its chosen first link.
-      const auto first = static_cast<std::size_t>(links[0]);
-      mark_channel(first);
-      ++waiting_for_output_[first];
+      ++waiting_for_output_[static_cast<std::size_t>(links[0])];
       if (telemetry_ && packet.trace_id >= 0) trace_route(packet, "route");
     } else if (config_.faults.policy == FaultPolicy::Reinject) {
       // Stay queued at the source: a link_up may restore a path.
@@ -812,7 +702,6 @@ bool Network::try_dispatch(int packet_id, int at_router) {
     return false;  // no downstream credit
   }
   ++packet.hop;
-  mark_channel(out);
   RingEnds& ends = ring_ends_[ring];
   if (size == 0) {
     ends.front = packet_id;

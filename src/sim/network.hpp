@@ -28,7 +28,7 @@
 // links, cost a few loads instead of a binary search per hop.
 // `reset()` rewinds a network to its just-constructed state so sweeps
 // reuse one instance instead of rebuilding the channel indexing per
-// point; identical seeds produce bit-identical statistics either way.
+// point. The constructor ends by calling it, so the two cannot drift.
 //
 // Injection is event-driven: each terminal owns its RNG stream and a
 // next-injection time sampled in closed form from the geometric
@@ -180,12 +180,12 @@ class Network {
   const SimConfig& config() const { return config_; }
 
   /// Rewinds to the just-constructed state at a new offered load: all
-  /// queues empty, cycle 0, RNG reseeded from config.seed. A reset
-  /// network produces bit-identical statistics to a freshly constructed
-  /// one, without rebuilding the channel indexing. Cost is O(state
-  /// touched since the last reset), not O(network): per-channel and
-  /// per-router state is cleared off dirty lists and the injection
-  /// schedule is restored from construction-time RNG snapshots.
+  /// queues empty, cycle 0, every RNG stream reseeded from config.seed.
+  /// This is the constructor's own run-state initialisation (it ends by
+  /// calling reset), so a reset network produces bit-identical
+  /// statistics to a freshly constructed one, without rebuilding the
+  /// channel indexing. Cost is O(network): every per-channel, per-router
+  /// and per-terminal array is re-assigned in full.
   void reset(double load);
 
   /// The congestion adaptive routing reads for link u -> v: flits
@@ -333,37 +333,11 @@ class Network {
   std::uint64_t in_bit_of(std::size_t c) const {
     return 1ULL << (static_cast<unsigned>(channel_in_index_[c]) & 63);
   }
-  void reset_state();
-  /// Rebuilds the injection heap: restores the pre-captured
-  /// post-first-draw RNG states and derives each first wakeup in closed
-  /// form from the captured log1p(-u) — the draw itself is
-  /// load-independent, only the denominator log1p(-p) changes per reset.
-  void reset_injection();
-  /// Clears only channels/routers on the dirty lists (state touched
-  /// since the previous reset) — O(touched), not O(network).
-  void reset_arrays();
-  /// Scalars, measurement, telemetry, and fault-residue reset.
-  void reset_scalars();
-  /// First-touch dirty tracking feeding reset_arrays. The byte
-  /// flags make re-marking free; the lists bound the clear cost.
-  void mark_channel(std::size_t c) {
-    if (!channel_dirty_[c]) {
-      channel_dirty_[c] = 1;
-      dirty_channels_.push_back(static_cast<std::int32_t>(c));
-    }
-  }
-  void mark_router(int v) {
-    if (!router_dirty_[static_cast<std::size_t>(v)]) {
-      router_dirty_[static_cast<std::size_t>(v)] = 1;
-      dirty_routers_.push_back(v);
-    }
-  }
-  /// Backlog transitions maintain the dirty-router list and the live
-  /// active-router count (the saturation fast-path signal).
+  /// Backlog transitions maintain the live active-router count (the
+  /// saturation fast-path signal).
   void backlog_inc(int v) {
     if (router_backlog_[static_cast<std::size_t>(v)]++ == 0) {
       ++active_routers_;
-      mark_router(v);
     }
   }
   void backlog_dec(int v) {
@@ -448,7 +422,7 @@ class Network {
 
   // --- workload mode (all no-ops when workload_mode_ is false) ---
   /// Rebuilds the per-rank progression state and schedules each rank's
-  /// first eligible send (called from reset_scalars).
+  /// first eligible send (called from reset).
   void wl_reset();
   /// Terminal t's due wake in workload mode: inject the next eligible
   /// packet of the current phase, or reschedule for its release/pacing
@@ -516,15 +490,6 @@ class Network {
   // and the (time, terminal) min-heap that wakes due terminals.
   std::vector<util::Rng> terminal_rng_;
   std::vector<std::pair<std::int64_t, int>> inject_heap_;
-  // Construction-time capture for the incremental reset: the fresh
-  // per-terminal RNG states (inj_snap0_), the states after the one
-  // uniform draw the first gap sample consumes (inj_snap1_), and that
-  // draw's log1p(-u) — load-independent, so every reset can rebuild the
-  // schedule with one division per terminal instead of re-deriving the
-  // streams from splitmix and re-taking logs.
-  std::vector<util::Rng> inj_snap0_;
-  std::vector<util::Rng> inj_snap1_;
-  std::vector<double> inj_log1m_u_;
   /// Hoisted denominator of injection_gap's inverse-CDF sample,
   /// log1p(-load/packet_size); the division itself is untouched so the
   /// sampled gaps stay bit-identical to the unhoisted form.
@@ -596,18 +561,6 @@ class Network {
   int active_routers_ = 0;
   static constexpr int kSaturatedNum = 3;  ///< fast path at >= 3/4 active
   static constexpr int kSaturatedDen = 4;
-  /// reset_arrays switches from per-dirty-channel clears to the
-  /// contiguous full-array fills once more than 1/kBulkClearDiv of the
-  /// channels are dirty (scattered stores lose to fill bandwidth there).
-  static constexpr std::size_t kBulkClearDiv = 8;
-
-  // Dirty tracking for the incremental reset: channels that ever held or
-  // reserved a packet and routers that ever had backlog since the last
-  // reset. reset_arrays clears exactly these.
-  std::vector<std::int32_t> dirty_channels_;
-  std::vector<char> channel_dirty_;
-  std::vector<int> dirty_routers_;
-  std::vector<char> router_dirty_;
 
   std::vector<Packet> packets_;
   std::vector<int> free_packets_;
@@ -617,7 +570,7 @@ class Network {
   int subvcs_ = 1;          ///< sub-VCs per class
   int vcs_used_ = 1;        ///< classes_ * subvcs_
   std::int64_t cycle_ = 0;
-  util::Rng rng_;
+  util::Rng rng_{0};  ///< reseeded from config.seed by reset()
 
   // Measurement state.
   bool measuring_ = false;

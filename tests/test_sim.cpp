@@ -603,84 +603,54 @@ TEST(Simulator, SweepFindsSaturation) {
   EXPECT_GE(sweep.points[2].avg_latency, sweep.points[0].avg_latency);
 }
 
-TEST(Simulator, ResetIsBitIdenticalToFreshConstruction) {
-  PfFixture fx;
-  const sim::UgalRouting routing(fx.pf.graph(), fx.oracle, true, 2.0 / 3.0);
-  sim::SimConfig config;
-  config.warmup_cycles = 200;
-  config.measure_cycles = 400;
-  config.drain_cycles = 1000;
-
-  const auto collect = [](sim::Network& net) {
-    net.run_phases();
-    sim::SimStats stats;
-    stats.offered = net.offered_load();
-    stats.accepted_load = net.accepted_load();
-    stats.avg_latency = net.avg_latency();
-    stats.p99_latency = net.p99_latency();
-    stats.converged = net.converged();
-    stats.delivered_packets = net.delivered_packets();
-    return stats;
-  };
-
-  sim::Network reused(fx.pf.graph(), fx.endpoints, routing, fx.pattern,
-                      config, 0.3);
-  const auto first = collect(reused);
-  // A dirty network rewound to another load, then back.
-  reused.reset(0.7);
-  reused.run_phases();
-  reused.reset(0.3);
-  const auto again = collect(reused);
-
-  sim::Network fresh(fx.pf.graph(), fx.endpoints, routing, fx.pattern,
-                     config, 0.3);
-  const auto reference = collect(fresh);
-
-  for (const auto* stats : {&first, &again}) {
-    EXPECT_EQ(stats->accepted_load, reference.accepted_load);
-    EXPECT_EQ(stats->avg_latency, reference.avg_latency);
-    EXPECT_EQ(stats->p99_latency, reference.p99_latency);
-    EXPECT_EQ(stats->converged, reference.converged);
-    EXPECT_EQ(stats->delivered_packets, reference.delivered_packets);
-  }
-  EXPECT_GT(reference.delivered_packets, 0);
-}
-
 /// Drives one network through a reset+run sequence and, after every leg,
-/// expects bit-identical statistics to a network freshly constructed at
+/// expects bit-identical outputs to a network freshly constructed at
 /// that leg's load — the promise Network::reset makes, no matter what the
-/// previous run left behind.
+/// previous run left behind. Telemetry blocks (empty when off) and the
+/// workload accessors (defaults without a workload) are compared too.
 void expect_reset_matches_fresh(const PfFixture& fx,
                                 const sim::RoutingAlgorithm& routing,
                                 const sim::TrafficPattern& pattern,
                                 const sim::SimConfig& config,
-                                const std::vector<double>& loads) {
+                                const std::vector<double>& loads,
+                                const sim::Workload* workload = nullptr) {
   sim::Network reused(fx.pf.graph(), fx.endpoints, routing, pattern, config,
-                      loads.front());
+                      loads.front(), workload);
   for (std::size_t i = 0; i < loads.size(); ++i) {
     if (i > 0) reused.reset(loads[i]);
     reused.run_phases();
     sim::Network fresh(fx.pf.graph(), fx.endpoints, routing, pattern,
-                       config, loads[i]);
+                       config, loads[i], workload);
     fresh.run_phases();
+    EXPECT_GT(fresh.delivered_packets(), 0) << "leg " << i;
     EXPECT_EQ(reused.accepted_load(), fresh.accepted_load())
         << "leg " << i << " load " << loads[i];
     EXPECT_EQ(reused.avg_latency(), fresh.avg_latency()) << i;
     EXPECT_EQ(reused.p99_latency(), fresh.p99_latency()) << i;
+    EXPECT_EQ(reused.latency_counts().order_hash(),
+              fresh.latency_counts().order_hash())
+        << i;
     EXPECT_EQ(reused.delivered_packets(), fresh.delivered_packets()) << i;
     EXPECT_EQ(reused.measured_hops(), fresh.measured_hops()) << i;
     EXPECT_EQ(reused.peak_vc_packets(), fresh.peak_vc_packets()) << i;
     EXPECT_EQ(reused.converged(), fresh.converged()) << i;
     EXPECT_EQ(reused.stalled(), fresh.stalled()) << i;
     EXPECT_EQ(reused.current_cycle(), fresh.current_cycle()) << i;
+    EXPECT_TRUE(reused.collect_telemetry() == fresh.collect_telemetry())
+        << i;
+    EXPECT_EQ(reused.workload_done(), fresh.workload_done()) << i;
+    EXPECT_EQ(reused.workload_completion_cycles(),
+              fresh.workload_completion_cycles())
+        << i;
+    EXPECT_EQ(reused.workload_phase_cycles(), fresh.workload_phase_cycles())
+        << i;
   }
 }
 
 TEST(Simulator, ResetMatchesFreshConstructionBothEngines) {
-  // The O(touched) reset must be bit-identical to fresh construction
-  // under both cores, across load swings that exercise all three clear
-  // tiers: a drained-clean rewind (low load), the scattered dirty-list
-  // path, and the mostly-dirty bulk-fill path (saturation).
+  // Reset must be bit-identical to fresh construction under both cores,
+  // across load swings: a run that drained every packet (low load)
+  // followed by one that leaves the network saturated, and back.
   PfFixture fx;
   const sim::UgalRouting ugal(fx.pf.graph(), fx.oracle, true, 2.0 / 3.0);
   sim::SimConfig config;
@@ -695,11 +665,57 @@ TEST(Simulator, ResetMatchesFreshConstructionBothEngines) {
   }
 }
 
+TEST(Simulator, ResetWithTelemetryMatchesFreshConstruction) {
+  // The telemetry collector is built once and rewound by reset: every
+  // histogram, window series, hot link and peak must restart from zero.
+  // Small windows and a small cap make the series roll and coalesce.
+  PfFixture fx;
+  const sim::UgalRouting ugal(fx.pf.graph(), fx.oracle, true, 2.0 / 3.0);
+  sim::SimConfig config;
+  config.warmup_cycles = 200;
+  config.measure_cycles = 400;
+  config.drain_cycles = 2000;
+  config.telemetry.enabled = true;
+  config.telemetry.window_cycles = 32;
+  config.telemetry.max_windows = 8;
+  config.telemetry.top_links = 4;
+  for (const sim::SimEngine engine :
+       {sim::SimEngine::Event, sim::SimEngine::Cycle}) {
+    config.engine = engine;
+    expect_reset_matches_fresh(fx, ugal, fx.pattern, config,
+                               {0.3, 0.9, 0.3});
+  }
+}
+
+TEST(Simulator, ResetInWorkloadModeMatchesFreshConstruction) {
+  // Workload mode replaces the injection schedule with phase-gated sends
+  // and a pacing period derived from the load: reset must rebuild the
+  // per-rank progression and reschedule every first send.
+  PfFixture fx;
+  const sim::UgalRouting ugal(fx.pf.graph(), fx.oracle, true, 2.0 / 3.0);
+  const auto w =
+      sim::Workload::make("alltoall", fx.pattern.num_terminals(), 0xabcdULL);
+  sim::SimConfig config;
+  config.warmup_cycles = 300;
+  config.measure_cycles = 500;
+  config.drain_cycles = 30000;
+  sim::Network probe(fx.pf.graph(), fx.endpoints, ugal, fx.pattern, config,
+                     0.9, w.get());
+  probe.run_phases();
+  ASSERT_TRUE(probe.workload_done());  // the legs must run it to the end
+  for (const sim::SimEngine engine :
+       {sim::SimEngine::Event, sim::SimEngine::Cycle}) {
+    config.engine = engine;
+    expect_reset_matches_fresh(fx, ugal, fx.pattern, config,
+                               {0.3, 0.9, 0.3}, w.get());
+  }
+}
+
 TEST(Simulator, ResetAfterFaultedRunMatchesFreshConstruction) {
-  // A runtime fault timeline dirties state the drained-clean shortcut
-  // must not assume away (dead links, flushed packets, reroutes). After
-  // a faulted run, reset + rerun must still match a fresh network bit
-  // for bit — including re-arming the timeline itself.
+  // A runtime fault timeline leaves state a fault-free run never touches
+  // (dead links, flushed packets, reroutes). After a faulted run, reset +
+  // rerun must still match a fresh network bit for bit — including
+  // re-arming the timeline itself.
   PfFixture fx;
   const sim::UgalRouting ugal(fx.pf.graph(), fx.oracle, true, 2.0 / 3.0);
   sim::SimConfig config;
