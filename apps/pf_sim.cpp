@@ -57,15 +57,13 @@ exp::SuiteCase single_run_defaults() {
 void usage_suite(std::FILE* f) {
   std::fputs(
       "usage: pf_sim suite <file.json> [--json PATH|-] [--quiet]\n"
-      "       [--serial] [--case-workers N] [--checkpoint PATH "
-      "[--resume]]\n"
+      "       [--serial] [--checkpoint PATH [--resume]]\n"
       "  run a polarfly-suite/1 scenario suite end-to-end\n"
       "  (docs/suite-format.md documents the file format)\n"
       "  --json PATH|-    emit the runs as one polarfly-run/1 document\n"
       "  --quiet          progress lines on stderr instead of tables\n"
       "  --serial         run cases one at a time (default: the case\n"
       "                   scheduler runs independent cases concurrently)\n"
-      "  --case-workers N max pool workers one case may occupy\n"
       "  --checkpoint PATH  stream each finished record to a journal\n"
       "                   (one JSON record per line) as the run progresses\n"
       "  --resume         skip cases already present in the --checkpoint\n"
@@ -265,7 +263,6 @@ int run_suite(const util::CliArgs& args) {
 
   exp::ScheduleOptions schedule;
   schedule.parallel = !args.has("serial");
-  schedule.workers_per_case = args.integer_in("case-workers", 0, 0, kIntMax);
   // Bare --progress takes the default cadence; --progress SECS tunes it.
   if (args.has("progress")) {
     schedule.progress_seconds =

@@ -23,8 +23,8 @@ namespace pf::apps {
 /// with a user-facing message on bad input.
 inline topo::TopologySpec topology_from_args(const util::CliArgs& args) {
   topo::TopologySpec spec = topo::parse_topology_spec(args.str("topology"));
-  for (const char* key : {"q", "a", "b", "h", "p", "n", "k", "d", "lift",
-                          "arity", "levels"}) {
+  for (const char* key :
+       {"q", "a", "b", "h", "p", "n", "k", "d", "arity", "levels"}) {
     if (!args.has(key)) continue;
     // make_topology narrows each of these parameters to int.
     spec.params[key] =

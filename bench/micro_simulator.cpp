@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/polarfly.hpp"
-#include "sim/harness.hpp"
 #include "sim/network.hpp"
 #include "sim/routing.hpp"
 #include "sim/traffic.hpp"
@@ -31,9 +30,10 @@ void BM_SimulatorCycles(benchmark::State& state) {
       pf::sim::terminal_routers(endpoints));
   std::int64_t cycles = 0;
   for (auto _ : state) {
-    const auto stats = pf::sim::simulate(pf.graph(), endpoints, routing,
-                                         pattern, micro_config(), 0.5);
-    benchmark::DoNotOptimize(stats.accepted_load);
+    pf::sim::Network net(pf.graph(), endpoints, routing, pattern,
+                         micro_config(), 0.5);
+    net.run_phases();
+    benchmark::DoNotOptimize(net.accepted_load());
     cycles += 1000;
   }
   state.counters["cycles/s"] = benchmark::Counter(

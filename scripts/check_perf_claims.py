@@ -23,8 +23,8 @@ A row can instead name Google Benchmark results (the JSON that
 `--benchmark_out_format=json` writes):
 
     | reset cost, PF q=13 <!-- perf-claim record=BENCH_reset.json
-      benchmarks=BM_ResetCostQ13/0,BM_ResetCostQ13/1 metric=real_time -->
-      | 73.7 us | 9.8 us |
+      benchmarks=BM_ResetCostQ13/0_median,BM_ResetCostQ13/1_median
+      metric=real_time --> | 70.0 us | 9.2 us |
 
 The last len(benchmarks) cells hold `metric` of each named benchmark in
 order: `real_time` or `cpu_time`, converted to the cell's time unit

@@ -375,16 +375,6 @@ std::unique_ptr<sim::TrafficPattern> make_pattern(const NetSetup& setup,
                               join_kinds(pattern_kinds()) + ")");
 }
 
-NetSetup make_graph_setup(std::string name, graph::Graph g, int p) {
-  NetSetup setup;
-  setup.name = std::move(name);
-  setup.graph = std::move(g);
-  setup.endpoints =
-      sim::uniform_endpoints(setup.graph.num_vertices(), p);
-  setup.oracle = std::make_shared<sim::DistanceOracle>(setup.graph);
-  return setup;
-}
-
 std::shared_ptr<const NetSetup> ScenarioRegistry::topology(
     const std::string& spec) {
   // One spec syntax across every surface: the shared topo parser turns
@@ -562,14 +552,6 @@ Scenario ScenarioRegistry::make(const ScenarioSpec& spec) {
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(describe() + ": " + e.what());
   }
-}
-
-std::vector<std::string> ScenarioRegistry::cached_topologies() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> keys;
-  keys.reserve(topologies_.size());
-  for (const auto& [key, setup] : topologies_) keys.push_back(key);
-  return keys;
 }
 
 ScenarioRegistry& ScenarioRegistry::shared() {

@@ -77,13 +77,6 @@ const std::vector<std::string>& pattern_kinds();
 /// (randperm/perm1hop/perm2hop) — callers record it for reproducibility.
 bool pattern_uses_seed(const std::string& kind);
 
-// ---- ad-hoc setups ------------------------------------------------------
-
-/// A setup over an ad-hoc graph (damaged, expanded, ...). The oracle is
-/// computed fresh — ad-hoc graphs are not cached. Every topology a spec
-/// string names goes through ScenarioRegistry::topology instead.
-NetSetup make_graph_setup(std::string name, graph::Graph g, int p);
-
 // ---- failure specs -------------------------------------------------------
 
 /// First-class failure injection: which links/routers of a topology are
@@ -234,9 +227,6 @@ class ScenarioRegistry {
       std::shared_ptr<const core::PolarFly> pf = nullptr);
 
   Scenario make(const ScenarioSpec& spec);
-
-  /// Keys currently cached (diagnostics).
-  std::vector<std::string> cached_topologies() const;
 
   /// Drops every cached setup whose key carries a failure-spec fragment
   /// (damaged graphs are one-suite artifacts; intact topologies and their

@@ -13,7 +13,7 @@
 #include <thread>
 
 #include "exp/settings.hpp"
-#include "sim/harness.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 
@@ -204,9 +204,9 @@ std::vector<double> parse_loads(const JsonValue& value,
     }
     const int count =
         value.at("count").as_int_in(context + ".count", 1, kIntMax);
-    return sim::load_steps(parse_load(value.at("lo"), context + ".lo"),
-                           parse_load(value.at("hi"), context + ".hi"),
-                           count);
+    return util::load_steps(parse_load(value.at("lo"), context + ".lo"),
+                            parse_load(value.at("hi"), context + ".hi"),
+                            count);
   }
   bad(context, "expected a number array or {lo, hi, count}");
 }
@@ -429,18 +429,6 @@ Suite parse_suite(const std::string& json_text) {
     return parse_suite_value(root);
   } catch (const util::JsonError& e) {
     throw std::invalid_argument(std::string("suite schema: ") + e.what());
-  }
-}
-
-Suite load_suite(const std::string& path) {
-  std::string text;
-  if (!util::read_text_file(path, text)) {
-    throw std::invalid_argument("cannot read suite file " + path);
-  }
-  try {
-    return parse_suite(text);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(path + ": " + e.what());
   }
 }
 
@@ -723,16 +711,15 @@ std::size_t SuiteRunner::run(const Suite& suite, ResultLog& log,
         for (;;) {
           if (abort.load(std::memory_order_relaxed)) break;
           // Pick the attachable case with the fewest active workers
-          // (document order breaks ties). The cap is recomputed from
-          // the LIVE number of open cases, so the last cases standing
-          // are allowed to widen beyond the initial even split.
+          // (document order breaks ties). The cap, pool threads per
+          // open case and at least 1, is recomputed from the LIVE number
+          // of open cases, so the last cases standing are allowed to
+          // widen beyond the initial even split.
           std::size_t open = 0;
           for (const CaseState& st : states) open += has_work(st) ? 1 : 0;
           if (open == 0) break;
           const std::size_t cap =
-              schedule_.workers_per_case > 0
-                  ? static_cast<std::size_t>(schedule_.workers_per_case)
-                  : std::max<std::size_t>(1, pool.num_threads() / open);
+              std::max<std::size_t>(1, pool.num_threads() / open);
           std::size_t pick = total;
           for (std::size_t i = 0; i < total; ++i) {
             if (!has_work(states[i])) continue;

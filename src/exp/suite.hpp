@@ -49,9 +49,6 @@ struct Suite {
 /// violations; both name the offending scenarios[i] entry and key.
 Suite parse_suite(const std::string& json_text);
 
-/// load + parse; errors are prefixed with the path.
-Suite load_suite(const std::string& path);
-
 /// The realized schedule of one case: how the scheduler actually ran
 /// it. Under the parallel scheduler `shards` counts the workers that
 /// ever attached to the case's claim cursor (rebalancing means late
@@ -81,11 +78,6 @@ struct ScheduleOptions {
   /// false restores the pre-scheduler behavior: cases run one after
   /// another, each parallelizing internally across the whole pool.
   bool parallel = true;
-  /// Max workers attached to one case at a time. 0 = auto:
-  /// pool_threads / cases_with_unclaimed_work, at least 1, recomputed as
-  /// cases drain — many open cases get pure case-parallelism, the last
-  /// cases standing are allowed to widen.
-  int workers_per_case = 0;
   /// Checkpoint records from an interrupted run (load_checkpoint order).
   /// Cases whose predicted record_key() matches a journal record (FIFO
   /// per key) are not re-simulated: the stored record is emitted in its

@@ -86,14 +86,6 @@ bool is_irreducible(const Poly& candidate, std::uint32_t p) {
 
 }  // namespace
 
-bool is_prime(std::uint32_t n) {
-  if (n < 2) return false;
-  for (std::uint32_t d = 2; d * d <= n; ++d) {
-    if (n % d == 0) return false;
-  }
-  return true;
-}
-
 bool is_prime_power(std::uint32_t n, std::uint32_t* prime,
                     std::uint32_t* exponent) {
   if (n < 2) return false;
@@ -209,13 +201,6 @@ Field::Field(std::uint32_t q) : q_(q) {
     log_[x] = e;
     x = raw_mul(x, generator_);
   }
-}
-
-std::uint32_t Field::pow(std::uint32_t a, std::uint64_t e) const {
-  if (a == 0) return e == 0 ? 1 : 0;
-  const std::uint64_t reduced = e % (q_ - 1);
-  return exp_[static_cast<std::uint32_t>(
-      static_cast<std::uint64_t>(log_[a]) * reduced % (q_ - 1))];
 }
 
 }  // namespace pf::gf

@@ -15,9 +15,6 @@
 
 namespace pf::gf {
 
-/// True if n is prime (n >= 2).
-bool is_prime(std::uint32_t n);
-
 /// True if n = p^m for a prime p and m >= 1; reports p and m when asked.
 bool is_prime_power(std::uint32_t n, std::uint32_t* prime = nullptr,
                     std::uint32_t* exponent = nullptr);
@@ -58,8 +55,6 @@ class Field {
   std::uint32_t div(std::uint32_t a, std::uint32_t b) const {
     return mul(a, inv(b));
   }
-
-  std::uint32_t pow(std::uint32_t a, std::uint64_t e) const;
 
   /// A fixed generator of the multiplicative group GF(q)*.
   std::uint32_t generator() const { return generator_; }

@@ -303,15 +303,11 @@ void Network::schedule_terminal(int t, std::int64_t at) {
                  std::greater<>());
 }
 
-void Network::process_due_terminal(int t) {
-  if (workload_mode_) {
-    wl_process_due(t);
-    return;
-  }
+bool Network::source_ready(int t, std::int64_t at) {
   const auto ti = static_cast<std::size_t>(t);
   if (has_timeline_ &&
       router_dead_[static_cast<std::size_t>(terminals_[ti])]) {
-    return;  // no injection, no reschedule: the router is down
+    return false;  // no injection, no reschedule: the router is down
   }
   // Finite source queues: a terminal whose injection backlog is this many
   // packets deep defers the arrival until the queue drains back to the
@@ -320,10 +316,16 @@ void Network::process_due_terminal(int t) {
   // into pathological depth.
   const std::int64_t max_backlog =
       static_cast<std::int64_t>(16) * config_.packet_size;
-  if (terminal_inject_free_[ti] > cycle_ + max_backlog) {
-    schedule_terminal(t, terminal_inject_free_[ti] - max_backlog);
-    return;
+  at = std::max(at, terminal_inject_free_[ti] - max_backlog);
+  if (at > cycle_) {
+    schedule_terminal(t, at);
+    return false;
   }
+  return true;
+}
+
+Network::Packet& Network::inject(int t, int dst_terminal) {
+  const auto ti = static_cast<std::size_t>(t);
   int id;
   if (free_packets_.empty()) {
     id = static_cast<int>(packets_.size());
@@ -333,12 +335,12 @@ void Network::process_due_terminal(int t) {
     free_packets_.pop_back();
     packets_[static_cast<std::size_t>(id)] = Packet{};
   }
-  util::Rng& rng = terminal_rng_[ti];
   Packet& packet = packets_[static_cast<std::size_t>(id)];
   packet.src_router = terminals_[ti];
-  packet.dst_terminal = pattern_.destination(t, rng);
+  packet.src_terminal = t;
+  packet.dst_terminal = dst_terminal;
   packet.subvc = static_cast<std::int16_t>(
-      rng.below(static_cast<std::uint64_t>(subvcs_)));
+      terminal_rng_[ti].below(static_cast<std::uint64_t>(subvcs_)));
   packet.birth = cycle_;
   packet.ready = std::max(cycle_, terminal_inject_free_[ti]);
   terminal_inject_free_[ti] = packet.ready + config_.packet_size;
@@ -356,7 +358,19 @@ void Network::process_due_terminal(int t) {
       trace_inject(packet, t);
     }
   }
+  return packet;
+}
 
+void Network::process_due_terminal(int t) {
+  if (workload_mode_) {
+    wl_process_due(t);
+    return;
+  }
+  if (!source_ready(t, cycle_)) return;
+  // The destination comes off the terminal's stream before inject draws
+  // the sub-VC.
+  util::Rng& rng = terminal_rng_[static_cast<std::size_t>(t)];
+  inject(t, pattern_.destination(t, rng));
   const std::int64_t gap = injection_gap(rng);
   if (gap < kNeverInject) schedule_terminal(t, cycle_ + gap);
 }
@@ -396,25 +410,28 @@ void Network::release_packet(int packet_id) {
   free_packets_.push_back(packet_id);
 }
 
-bool Network::advance_faults() {
-  // Delivered-flit window (faults present only): feed the previous
-  // cycle's ejections into the sliding window and settle reconvergence
-  // clocks that have re-entered their band.
+void Network::feed_recovery_window(std::int64_t at) {
   const std::int64_t delta = total_ejected_flits_ - prev_total_flits_;
   prev_total_flits_ = total_ejected_flits_;
-  const auto slot = static_cast<std::size_t>(cycle_ % kRecoveryWindow);
+  const auto slot = static_cast<std::size_t>(at % kRecoveryWindow);
   window_total_ += delta - window_[slot];
   window_[slot] = delta;
   for (std::size_t i = 0; i < pending_recovery_.size();) {
     if (static_cast<double>(window_total_) >= pending_recovery_[i].target) {
       degradation_.reconvergence[pending_recovery_[i].slot] =
-          cycle_ - pending_recovery_[i].at;
+          at - pending_recovery_[i].at;
       pending_recovery_[i] = pending_recovery_.back();
       pending_recovery_.pop_back();
     } else {
       ++i;
     }
   }
+}
+
+bool Network::advance_faults() {
+  // Delivered-flit window (faults present only): feed the previous
+  // cycle's ejections into the sliding window.
+  feed_recovery_window(cycle_);
 
   const auto& events = config_.faults.events;
   bool changed = false;
@@ -1021,21 +1038,7 @@ void Network::advance_window_gap(std::int64_t from, std::int64_t to) {
   // and give pending recovery clocks their one chance to settle — past
   // `from` every slot update subtracts, window_total_ is nonincreasing,
   // and a clock that cannot settle at `from` cannot settle in the gap.
-  const std::int64_t delta = total_ejected_flits_ - prev_total_flits_;
-  prev_total_flits_ = total_ejected_flits_;
-  const auto slot = static_cast<std::size_t>(from % kRecoveryWindow);
-  window_total_ += delta - window_[slot];
-  window_[slot] = delta;
-  for (std::size_t i = 0; i < pending_recovery_.size();) {
-    if (static_cast<double>(window_total_) >= pending_recovery_[i].target) {
-      degradation_.reconvergence[pending_recovery_[i].slot] =
-          from - pending_recovery_[i].at;
-      pending_recovery_[i] = pending_recovery_.back();
-      pending_recovery_.pop_back();
-    } else {
-      ++i;
-    }
-  }
+  feed_recovery_window(from);
   // Zero-fill the remaining skipped slots; after kRecoveryWindow of
   // them the ring is all zero and later slots already are.
   const std::int64_t fills =
@@ -1135,10 +1138,6 @@ void Network::wl_reset() {
 
 void Network::wl_process_due(int t) {
   const auto ti = static_cast<std::size_t>(t);
-  if (has_timeline_ &&
-      router_dead_[static_cast<std::size_t>(terminals_[ti])]) {
-    return;  // no injection, no reschedule: the router is down
-  }
   const int phases = workload_->num_phases();
   const int phase = wl_phase_[ti];
   if (phase >= phases) return;  // stale wake: rank already done
@@ -1148,51 +1147,8 @@ void Network::wl_process_due(int t) {
   }
   const WorkloadMessage& msg =
       msgs[static_cast<std::size_t>(wl_next_msg_[ti])];
-  std::int64_t at = std::max(msg.release, wl_next_ok_[ti]);
-  // Same finite source queue as the Bernoulli path.
-  const std::int64_t max_backlog =
-      static_cast<std::int64_t>(16) * config_.packet_size;
-  if (terminal_inject_free_[ti] > cycle_ + max_backlog) {
-    at = std::max(at, terminal_inject_free_[ti] - max_backlog);
-  }
-  if (at > cycle_) {
-    schedule_terminal(t, at);
-    return;
-  }
-  int id;
-  if (free_packets_.empty()) {
-    id = static_cast<int>(packets_.size());
-    packets_.emplace_back();
-  } else {
-    id = free_packets_.back();
-    free_packets_.pop_back();
-    packets_[static_cast<std::size_t>(id)] = Packet{};
-  }
-  util::Rng& rng = terminal_rng_[ti];
-  Packet& packet = packets_[static_cast<std::size_t>(id)];
-  packet.src_router = terminals_[ti];
-  packet.dst_terminal = msg.dst;
-  packet.src_terminal = t;
-  packet.wl_phase = phase;
-  packet.subvc = static_cast<std::int16_t>(
-      rng.below(static_cast<std::uint64_t>(subvcs_)));
-  packet.birth = cycle_;
-  packet.ready = std::max(cycle_, terminal_inject_free_[ti]);
-  terminal_inject_free_[ti] = packet.ready + config_.packet_size;
-  packet.measured = measuring_;
-  if (packet.measured) ++measured_generated_;
-  injection_pool_[static_cast<std::size_t>(packet.src_router)].push_back(id);
-  backlog_inc(packet.src_router);
-  wake_router(packet.src_router, cycle_);
-  if (telemetry_) {
-    telemetry_->on_backlog(
-        packet.src_router,
-        router_backlog_[static_cast<std::size_t>(packet.src_router)]);
-    if (telemetry_->tracing() && telemetry_->sample(t, packet.birth)) {
-      packet.trace_id = telemetry_->assign_trace_id();
-      trace_inject(packet, t);
-    }
-  }
+  if (!source_ready(t, std::max(msg.release, wl_next_ok_[ti]))) return;
+  inject(t, msg.dst).wl_phase = phase;
   ++wl_unacked_[ti];
   wl_next_ok_[ti] = cycle_ + wl_pace_;
   if (++wl_sent_[ti] >= msg.packets) {

@@ -310,7 +310,7 @@ class Network {
     std::int64_t ready = 0;  ///< head-arrival time at the current router
     bool measured = false;
     std::int32_t trace_id = -1;  ///< >= 0 when sampled into the trace
-    std::int32_t src_terminal = -1;  ///< sending rank (workload mode)
+    std::int32_t src_terminal = -1;  ///< sending terminal (workload rank)
     std::int32_t wl_phase = 0;       ///< sender's phase (workload mode)
   };
 
@@ -350,6 +350,15 @@ class Network {
   /// its own stream; kNeverInject when the offered load is zero (or the
   /// gap would overflow the cycle counter).
   std::int64_t injection_gap(util::Rng& rng) const;
+  /// The source rule both injection processes share: false when terminal
+  /// t may not inject now, either because its router is down (no
+  /// reschedule) or because it is rescheduled for the later of `at` and
+  /// the cycle its source queue drains back under the backlog cap.
+  bool source_ready(int t, std::int64_t at);
+  /// Creates terminal t's next packet to `dst_terminal`: draws its
+  /// sub-VC from t's stream, queues it in the router's injection pool,
+  /// wakes the router and samples it into the trace.
+  Packet& inject(int t, int dst_terminal);
   /// Handles terminal t's due injection: inject (or defer while the
   /// source queue is over its backlog cap) and schedule the next wakeup.
   void process_due_terminal(int t);
@@ -395,6 +404,10 @@ class Network {
   /// [from, to): feeds the final processed cycle's ejection delta at
   /// `from` (where recovery can settle) and zero-fills the rest.
   void advance_window_gap(std::int64_t from, std::int64_t to);
+  /// Feeds the ejections since the last feed into recovery-window slot
+  /// `at` and settles, at `at`, every reconvergence clock whose band the
+  /// window has re-entered.
+  void feed_recovery_window(std::int64_t at);
 
   // --- runtime-fault machinery (all no-ops when has_timeline_ is false) ---
   /// Applies events due this cycle and updates recovery tracking.

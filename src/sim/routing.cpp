@@ -9,16 +9,14 @@
 
 namespace pf::sim {
 
-DistanceOracle::DistanceOracle(const graph::Graph& g, OracleMode mode)
+DistanceOracle::DistanceOracle(const graph::Graph& g)
     : n_(g.num_vertices()) {
-  compact_ = mode == OracleMode::Compact ||
-             (mode == OracleMode::Auto && n_ >= kCompactThreshold);
   build(g);
-  if (compact_ && diameter_ > 127) {
+  if (diameter_ > 127) {
     // int8 cannot hold these distances (already truncated in dist8_);
     // rebuild wide. Only path-like graphs far outside the paper's
     // design space get here.
-    compact_ = false;
+    wide_ = true;
     dist8_.clear();
     dist8_.shrink_to_fit();
     build(g);
@@ -33,10 +31,10 @@ DistanceOracle::DistanceOracle(std::shared_ptr<const core::PolarFly> pf)
 void DistanceOracle::build(const graph::Graph& g) {
   const std::size_t cells =
       static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_);
-  if (compact_) {
-    dist8_.assign(cells, -1);
-  } else {
+  if (wide_) {
     dist_.assign(cells, -1);
+  } else {
+    dist8_.assign(cells, -1);
   }
   std::vector<int> diameters(static_cast<std::size_t>(n_), 0);
   util::parallel_for(0, static_cast<std::size_t>(n_), [&](std::size_t src) {
@@ -46,10 +44,10 @@ void DistanceOracle::build(const graph::Graph& g) {
       const int d = row[static_cast<std::size_t>(v)];
       const std::size_t i = src * static_cast<std::size_t>(n_) +
                             static_cast<std::size_t>(v);
-      if (compact_) {
-        dist8_[i] = static_cast<std::int8_t>(d);
-      } else {
+      if (wide_) {
         dist_[i] = static_cast<std::int16_t>(d);
+      } else {
+        dist8_[i] = static_cast<std::int8_t>(d);
       }
       local_max = std::max(local_max, d);
     }
@@ -107,10 +105,10 @@ void DistanceOracle::sample_min_path(const graph::Graph& g, int s, int d,
   // descent, unlike one scattered row access per neighbor.
   const std::size_t row = static_cast<std::size_t>(d) *
                           static_cast<std::size_t>(n_);
-  if (compact_) {
-    sample_descent(g, &dist8_[row], s, d, rng, out);
-  } else {
+  if (wide_) {
     sample_descent(g, &dist_[row], s, d, rng, out);
+  } else {
+    sample_descent(g, &dist8_[row], s, d, rng, out);
   }
 }
 

@@ -17,13 +17,6 @@
 
 namespace pf::sim {
 
-/// Storage mode for DistanceOracle: Full keeps the int16 matrix, Compact
-/// halves it to int8 (paper-scale graphs have single-digit diameters),
-/// Auto picks Compact once the graph reaches kCompactThreshold routers.
-/// Distance *values* are identical in every mode, so routing — and every
-/// committed baseline — is bit-identical regardless of the choice.
-enum class OracleMode { Auto, Full, Compact };
-
 /// Hop distances plus uniform sampling of minimal paths, in one of two
 /// forms. The graph form runs a BFS from every vertex into an all-pairs
 /// matrix and serves any topology, damaged or not. The PolarFly form
@@ -31,15 +24,11 @@ enum class OracleMode { Auto, Full, Compact };
 /// matrix. Both give the same distances, routes and RNG draws on ER_q.
 class DistanceOracle {
  public:
-  /// Auto mode: graphs with >= kCompactThreshold routers store int8
-  /// distances (the ~1k-router Slim Fly, Dragonfly and Jellyfish setups
-  /// of the full-scale suite halve their quadratic matrices); smaller
-  /// graphs keep int16. A compact build
-  /// whose diameter overflows int8 transparently rebuilds as Full.
-  static constexpr int kCompactThreshold = 512;
-
-  explicit DistanceOracle(const graph::Graph& g,
-                          OracleMode mode = OracleMode::Auto);
+  /// The matrix stores int8 distances (every design-space graph has a
+  /// single-digit diameter); a graph whose diameter exceeds 127 is
+  /// rebuilt with int16 cells. The width never changes a distance, so
+  /// routes and RNG draws are the same either way.
+  explicit DistanceOracle(const graph::Graph& g);
 
   /// Intact ER_q: distinct u, v are adjacent iff u . v = 0, and a
   /// non-adjacent pair's only common neighbor is their cross product, so
@@ -52,14 +41,12 @@ class DistanceOracle {
     const std::size_t i =
         static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +
         static_cast<std::size_t>(v);
-    // int8 holds -1 for unreachable directly; sign extension preserves
-    // the full-mode contract (distance() < 0 checks keep working).
-    return compact_ ? static_cast<int>(dist8_[i])
-                    : static_cast<int>(dist_[i]);
+    // Both widths hold -1 for unreachable; sign extension keeps the
+    // distance() < 0 checks working.
+    return wide_ ? static_cast<int>(dist_[i]) : static_cast<int>(dist8_[i]);
   }
 
   int diameter() const { return diameter_; }
-  bool compact() const { return compact_; }
   /// Bytes held by the distance matrix (footprint reporting).
   std::size_t matrix_bytes() const {
     return dist_.capacity() * sizeof(std::int16_t) +
@@ -76,9 +63,9 @@ class DistanceOracle {
 
   int n_ = 0;
   int diameter_ = 0;
-  bool compact_ = false;
-  std::vector<std::int16_t> dist_;  ///< -1 when unreachable (full mode)
-  std::vector<std::int8_t> dist8_;  ///< same contract (compact mode)
+  bool wide_ = false;  ///< int16 cells: the diameter exceeds 127
+  std::vector<std::int16_t> dist_;  ///< -1 when unreachable (diameter > 127)
+  std::vector<std::int8_t> dist8_;  ///< same contract (every other graph)
   std::shared_ptr<const core::PolarFly> pf_;  ///< set: the ER_q form
 };
 

@@ -41,21 +41,6 @@ void LogHistogram::add(std::int64_t value, std::int64_t count) {
   buckets_[static_cast<std::size_t>(bucket)] += count;
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-}
-
-std::int64_t LogHistogram::total() const {
-  std::int64_t sum = 0;
-  for (const std::int64_t c : buckets_) sum += c;
-  return sum;
-}
-
 void LatencyCounts::add_outside_dense(std::int64_t latency) {
   if (latency < 0) {
     throw std::invalid_argument("LatencyCounts: negative latency");

@@ -78,16 +78,12 @@ class TraceSink {
 };
 
 /// Log2-bucketed counter histogram: bucket 0 counts value 0, bucket
-/// b >= 1 counts values in [2^(b-1), 2^b). Buckets grow on demand;
-/// merging is elementwise addition (commutative, associative).
+/// b >= 1 counts values in [2^(b-1), 2^b). Buckets grow on demand.
 class LogHistogram {
  public:
   /// Counts `value` (negative values count as 0) `count` times.
   void add(std::int64_t value, std::int64_t count = 1);
-  void merge(const LogHistogram& other);
   const std::vector<std::int64_t>& buckets() const { return buckets_; }
-  std::int64_t total() const;
-  bool empty() const { return buckets_.empty(); }
 
  private:
   std::vector<std::int64_t> buckets_;
@@ -231,10 +227,6 @@ class TelemetryCollector {
   }
   void on_class_dequeue(int cls) {
     class_flits_[static_cast<std::size_t>(cls)] -= packet_size_;
-  }
-  /// Bulk removal (dead-link flush), in flits.
-  void on_class_drain(int cls, std::int64_t flits) {
-    class_flits_[static_cast<std::size_t>(cls)] -= flits;
   }
   void on_backlog(int router, int backlog) {
     const auto r = static_cast<std::size_t>(router);

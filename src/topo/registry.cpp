@@ -33,23 +33,51 @@ T narrow(std::int64_t value, const std::string& key,
   return static_cast<T>(value);
 }
 
-template <typename T = int>
-T need(const TopologyParams& params, const std::string& key,
-       const std::string& family) {
-  const auto it = params.find(key);
-  if (it == params.end()) {
-    throw std::invalid_argument("topology " + family +
-                                " needs parameter --" + key);
-  }
-  return narrow<T>(it->second, key, family);
-}
+/// The parameters of one make_topology call. need and get_or record
+/// each key a family reads, so refuse_unread can name any key the family
+/// does not take: the list lives in the reads themselves.
+class FamilyParams {
+ public:
+  FamilyParams(const TopologyParams& params, const std::string& family)
+      : params_(params), family_(family) {}
 
-template <typename T = int>
-T get_or(const TopologyParams& params, const std::string& key,
-         const std::string& family, T fallback) {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : narrow<T>(it->second, key, family);
-}
+  int need(const std::string& key) {
+    read_.push_back(key);
+    const auto it = params_.find(key);
+    if (it == params_.end()) {
+      throw std::invalid_argument("topology " + family_ +
+                                  " needs parameter --" + key);
+    }
+    return narrow<int>(it->second, key, family_);
+  }
+
+  template <typename T = int>
+  T get_or(const std::string& key, T fallback) {
+    read_.push_back(key);
+    const auto it = params_.find(key);
+    return it == params_.end() ? fallback
+                               : narrow<T>(it->second, key, family_);
+  }
+
+  void refuse_unread() const {
+    for (const auto& [key, value] : params_) {
+      if (std::find(read_.begin(), read_.end(), key) != read_.end()) continue;
+      std::string takes;
+      for (const std::string& known : read_) {
+        takes += (takes.empty() ? "" : ", ") + known;
+      }
+      throw std::invalid_argument(
+          "topology " + family_ + ": unknown parameter " + key + "=" +
+          std::to_string(value) + " (" + family_ + " takes " +
+          (takes.empty() ? std::string("no parameters") : takes) + ")");
+    }
+  }
+
+ private:
+  const TopologyParams& params_;
+  const std::string& family_;
+  std::vector<std::string> read_;
+};
 
 }  // namespace
 
@@ -70,95 +98,91 @@ std::vector<int> TopologyInstance::endpoints(int p) const {
   return counts;
 }
 
-TopologyInstance make_topology(const std::string& family,
+TopologyInstance make_topology(const std::string& family_name,
                                const TopologyParams& params) {
   TopologyInstance inst;
-  inst.family = family;
+  inst.family = canonical_family(family_name);
+  const std::string& family = inst.family;
+  FamilyParams args(params, family);
 
-  if (family == "polarfly" || family == "pf") {
-    const auto q = static_cast<std::uint32_t>(need(params, "q", family));
+  if (family == "polarfly") {
+    const auto q = static_cast<std::uint32_t>(args.need("q"));
     auto pf = std::make_shared<core::PolarFly>(q);
-    inst.family = "polarfly";
     inst.label = "PolarFly ER_" + std::to_string(q);
     inst.graph = pf->graph();
     inst.radix = pf->radix();
     inst.polarfly = std::move(pf);
-  } else if (family == "polarfly-exp" || family == "pfx") {
+  } else if (family == "polarfly-exp") {
     // Incrementally expanded ER_q (SS VI / Fig. 11): `n` replicated
     // clusters, quadric=1 for quadric-cluster replication (diameter
     // stays 2), quadric=0 for fan-cluster replication (diameter 3).
-    const auto q = static_cast<std::uint32_t>(need(params, "q", family));
-    const int n = need(params, "n", family);
-    const bool quadric = get_or(params, "quadric", family, 0) != 0;
+    const auto q = static_cast<std::uint32_t>(args.need("q"));
+    const int n = args.need("n");
+    const bool quadric = args.get_or("quadric", 0) != 0;
     const core::PolarFly pf(q);
     const core::Layout layout = core::make_layout(pf);
     const auto expanded = quadric ? core::expand_quadric(pf, layout, n)
                                   : core::expand_nonquadric(pf, layout, n);
-    inst.family = "polarfly-exp";
     inst.label = "PolarFly ER_" + std::to_string(q) + "+" +
                  std::to_string(n) + (quadric ? "q" : "f");
     inst.graph = expanded.graph;
     inst.radix = inst.graph.max_degree();
-  } else if (family == "slimfly" || family == "sf") {
-    const auto q = static_cast<std::uint32_t>(need(params, "q", family));
+  } else if (family == "slimfly") {
+    const auto q = static_cast<std::uint32_t>(args.need("q"));
     const SlimFly sf(q);
-    inst.family = "slimfly";
     inst.label = "SlimFly MMS(" + std::to_string(q) + ")";
     inst.graph = sf.graph();
     inst.radix = sf.radix();
-  } else if (family == "dragonfly" || family == "df") {
-    const int a = need(params, "a", family);
-    const int h = need(params, "h", family);
-    const int p = get_or(params, "p", family, (h + 1) / 2 + 1);
+  } else if (family == "dragonfly") {
+    const int a = args.need("a");
+    const int h = args.need("h");
+    const int p = args.get_or("p", (h + 1) / 2 + 1);
     const Dragonfly df(a, h, p);
-    inst.family = "dragonfly";
     inst.label = "Dragonfly(" + std::to_string(a) + "," + std::to_string(h) +
                  "," + std::to_string(p) + ")";
     inst.graph = df.graph();
     inst.radix = df.radix();
-  } else if (family == "fattree" || family == "ft") {
-    const int levels = get_or(params, "levels", family, 3);
-    const int arity = need(params, "arity", family);
+  } else if (family == "fattree") {
+    const int levels = args.get_or("levels", 3);
+    const int arity = args.need("arity");
     auto ft = std::make_shared<FatTree>(levels, arity);
-    inst.family = "fattree";
     inst.label = std::to_string(levels) + "-level fat tree (k=" +
                  std::to_string(arity) + ")";
     inst.graph = ft->graph();
     inst.radix = ft->radix();
     inst.fattree = std::move(ft);
-  } else if (family == "jellyfish" || family == "jf") {
-    const int n = need(params, "n", family);
-    const int k = need(params, "k", family);
+  } else if (family == "jellyfish") {
+    const int n = args.need("n");
+    const int k = args.need("k");
     const auto seed = static_cast<std::uint64_t>(
-        get_or<std::int64_t>(params, "seed", family, 0xf15e));
+        args.get_or<std::int64_t>("seed", 0xf15e));
     const Jellyfish jf(n, k, seed);
-    inst.family = "jellyfish";
     inst.label = "Jellyfish(" + std::to_string(n) + "," + std::to_string(k) +
                  ")";
     inst.graph = jf.graph();
     inst.radix = jf.radix();
   } else if (family == "hyperx") {
-    const int a = need(params, "a", family);
-    const int b = get_or(params, "b", family, a);
+    const int a = args.need("a");
+    const int b = args.get_or("b", a);
     const HyperX hx(a, b);
     inst.label = "HyperX K" + std::to_string(a) + "xK" + std::to_string(b);
     inst.graph = hx.graph();
     inst.radix = hx.radix();
   } else if (family == "torus") {
-    const int k = need(params, "k", family);
-    const int d = need(params, "d", family);
+    const int k = args.need("k");
+    const int d = args.need("d");
     const Torus torus(k, d);
     inst.label = std::to_string(k) + "-ary " + std::to_string(d) + "-torus";
     inst.graph = torus.graph();
     inst.radix = torus.radix();
   } else if (family == "hypercube") {
-    const int d = need(params, "d", family);
+    const int d = args.need("d");
     const Hypercube cube(d);
     inst.label = std::to_string(d) + "-cube";
     inst.graph = cube.graph();
     inst.radix = cube.radix();
   } else if (family == "brown") {
-    const auto q = static_cast<std::uint32_t>(need(params, "q", family));
+    const auto q = static_cast<std::uint32_t>(args.need("q"));
     const BrownIncidence brown(q);
     inst.label = "Brown incidence B(" + std::to_string(q) + ")";
     inst.graph = brown.graph();
@@ -167,15 +191,15 @@ TopologyInstance make_topology(const std::string& family,
     inst.label = "Petersen";
     inst.graph = petersen_graph();
     inst.radix = 3;
-  } else if (family == "hoffman-singleton" || family == "hs") {
-    inst.family = "hoffman-singleton";
+  } else if (family == "hoffman-singleton") {
     inst.label = "Hoffman-Singleton";
     inst.graph = hoffman_singleton_graph();
     inst.radix = 7;
   } else {
-    throw std::invalid_argument("unknown topology family '" + family +
+    throw std::invalid_argument("unknown topology family '" + family_name +
                                 "' (see `pf_topo families`)");
   }
+  args.refuse_unread();
   return inst;
 }
 
@@ -210,15 +234,20 @@ TopologySpec parse_topology_spec(const std::string& spec) {
                                   "': expected key=value, got '" + item +
                                   "'");
     }
+    std::int64_t value = 0;
     try {
       std::size_t used = 0;
-      const std::int64_t value = std::stoll(item.substr(eq + 1), &used);
+      value = std::stoll(item.substr(eq + 1), &used);
       if (used != item.size() - eq - 1) throw std::invalid_argument(item);
-      parsed.params[item.substr(0, eq)] = value;
     } catch (const std::exception&) {
       throw std::invalid_argument("topology spec '" + spec +
                                   "': parameter '" + item +
                                   "' is not an integer");
+    }
+    const std::string key = item.substr(0, eq);
+    if (!parsed.params.emplace(key, value).second) {
+      throw std::invalid_argument("topology " + parsed.family + ": spec '" +
+                                  spec + "' has duplicate parameter " + key);
     }
     pos = comma == std::string::npos ? rest.size() : comma + 1;
   }

@@ -37,8 +37,9 @@ struct TopologyInstance {
   std::vector<int> endpoints(int p) const;
 };
 
-/// Constructs a topology by family name. Throws std::invalid_argument on
-/// unknown families, missing parameters, a parameter outside [0, INT_MAX]
+/// Constructs a topology by family name (aliases included). Throws
+/// std::invalid_argument on unknown families, missing parameters, a
+/// parameter the family does not take, a parameter outside [0, INT_MAX]
 /// (a jellyfish seed: [0, INT64_MAX]), or infeasible sizes.
 ///
 /// Families (parameters): polarfly|pf (q), polarfly-exp|pfx
@@ -67,9 +68,10 @@ struct TopologySpec {
 std::string canonical_family(const std::string& family);
 
 /// Parses "family" or "family:key=value,...". Parameter values must be
-/// integers. Throws std::invalid_argument naming the offending spec and
-/// item; does not validate the family or parameter names (make_topology
-/// does, so unknown families fail with the full families list).
+/// integers and each key may appear once. Throws std::invalid_argument
+/// naming the offending spec and item; does not validate the family or
+/// parameter names (make_topology does, so unknown families fail with
+/// the full families list).
 TopologySpec parse_topology_spec(const std::string& spec);
 
 /// The canonical identity string of a spec: canonical family plus its

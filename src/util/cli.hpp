@@ -192,8 +192,13 @@ class CliArgs {
   mutable std::size_t used_positionals_ = 0;
 };
 
-/// Parses "lo:hi:count" into `count` evenly spaced values, endpoints
-/// included (count 1 yields just lo).
+/// `count` evenly spaced loads from lo to hi inclusive (count 1 yields
+/// just lo): the one load grid behind `--loads` and a suite's
+/// {lo, hi, count}.
+std::vector<double> load_steps(double lo, double hi, int count);
+
+/// Parses "lo:hi:count" into load_steps(lo, hi, count). Each field must
+/// be a number consumed whole, and count an integer in [1, INT_MAX].
 std::vector<double> parse_range(const std::string& spec);
 
 }  // namespace pf::util

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -125,13 +126,6 @@ JsonWriter& JsonWriter::value(std::uint64_t u) {
 JsonWriter& JsonWriter::value(bool b) {
   before_value();
   out_ += b ? "true" : "false";
-  wrote_value_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::null() {
-  before_value();
-  out_ += "null";
   wrote_value_ = true;
   return *this;
 }
@@ -301,7 +295,10 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 
 void JsonValue::write(JsonWriter& out) const {
   switch (kind_) {
-    case Kind::Null: out.null(); break;
+    // A non-finite double is the writer's one spelling of null.
+    case Kind::Null:
+      out.value(std::numeric_limits<double>::quiet_NaN());
+      break;
     case Kind::Bool: out.value(bool_); break;
     case Kind::Number:
       if (is_integral_) {

@@ -34,7 +34,6 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t u);
   JsonWriter& value(int i) { return value(static_cast<std::int64_t>(i)); }
   JsonWriter& value(bool b);
-  JsonWriter& null();
 
   /// The document so far. Well-formed once every container is closed.
   const std::string& str() const { return out_; }

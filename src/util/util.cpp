@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "util/cli.hpp"
@@ -7,33 +8,49 @@
 
 namespace pf::util {
 
+std::vector<double> load_steps(double lo, double hi, int count) {
+  std::vector<double> loads;
+  loads.reserve(static_cast<std::size_t>(std::max(0, count)));
+  for (int i = 0; i < count; ++i) {
+    loads.push_back(count == 1 ? lo
+                               : lo + (hi - lo) * static_cast<double>(i) /
+                                          static_cast<double>(count - 1));
+  }
+  return loads;
+}
+
 std::vector<double> parse_range(const std::string& spec) {
+  const CliError malformed("range must be lo:hi:count, got '" + spec + "'");
   const std::size_t first = spec.find(':');
   const std::size_t second = first == std::string::npos
                                  ? std::string::npos
                                  : spec.find(':', first + 1);
-  if (second == std::string::npos) {
-    throw CliError("range must be lo:hi:count, got '" + spec + "'");
-  }
+  if (second == std::string::npos) throw malformed;
+  const std::string fields[] = {spec.substr(0, first),
+                                spec.substr(first + 1, second - first - 1),
+                                spec.substr(second + 1)};
+  std::size_t used[] = {0, 0, 0};
   double lo = 0.0;
   double hi = 0.0;
-  long count = 0;
+  long long count = 0;
   try {
-    lo = std::stod(spec.substr(0, first));
-    hi = std::stod(spec.substr(first + 1, second - first - 1));
-    count = std::stol(spec.substr(second + 1));
-  } catch (const std::exception&) {
-    throw CliError("range must be lo:hi:count, got '" + spec + "'");
+    lo = std::stod(fields[0], &used[0]);
+    hi = std::stod(fields[1], &used[1]);
+    count = std::stoll(fields[2], &used[2]);
+  } catch (const std::logic_error&) {
+    throw malformed;
   }
-  if (count < 1) throw CliError("range count must be >= 1");
-  std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (long i = 0; i < count; ++i) {
-    values.push_back(count == 1 ? lo
-                                : lo + (hi - lo) * static_cast<double>(i) /
-                                           static_cast<double>(count - 1));
+  // stod/stoll stop at the first character they cannot use: a field
+  // with anything left over ("2x", "0.1abc") is refused, not truncated.
+  for (int i = 0; i < 3; ++i) {
+    if (used[i] != fields[i].size()) throw malformed;
   }
-  return values;
+  if (count < 1 || count > std::numeric_limits<int>::max()) {
+    throw CliError("range count must be in [1, " +
+                   std::to_string(std::numeric_limits<int>::max()) +
+                   "], got '" + spec + "'");
+  }
+  return load_steps(lo, hi, static_cast<int>(count));
 }
 
 void print_banner(const std::string& title) {

@@ -1,15 +1,17 @@
 // Experiment engine: scenario registry caching, routing/pattern factory
-// errors, engine sweeps vs the legacy harness (bit-identical), the
+// errors, engine sweeps vs a fresh Network per point (bit-identical), the
 // adaptive saturation search, and JSON emission.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "exp/engine.hpp"
 #include "exp/results.hpp"
 #include "exp/scenario.hpp"
-#include "sim/harness.hpp"
+#include "sim/network.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -121,24 +123,26 @@ TEST(ScenarioFactories, UgalThresholdIsParameterized) {
   EXPECT_EQ(never_a.avg_latency, never_b.avg_latency);
 }
 
-TEST(Engine, SweepMatchesLegacyHarnessBitExactly) {
+TEST(Engine, SweepMatchesFreshNetworkPerPointBitExactly) {
   const auto setup = *exp::ScenarioRegistry::shared().topology("pf:q=5,p=3");
   const auto routing = exp::make_routing(setup, "UGALPF");
   const auto pattern = exp::make_pattern(setup, "uniform", 0);
   const auto config = quick_config();
-  const auto loads = sim::load_steps(0.2, 0.8, 4);
+  const auto loads = util::load_steps(0.2, 0.8, 4);
 
   const auto run =
       exp::run_sweep(setup, *routing, *pattern, config, loads, "engine");
   ASSERT_EQ(run.points.size(), loads.size());
   for (std::size_t i = 0; i < loads.size(); ++i) {
-    const auto stats = sim::simulate(setup.graph, setup.endpoints, *routing,
-                                     *pattern, config, loads[i]);
-    EXPECT_EQ(run.points[i].offered, stats.offered);
-    EXPECT_EQ(run.points[i].accepted, stats.accepted_load);
-    EXPECT_EQ(run.points[i].avg_latency, stats.avg_latency);
-    EXPECT_EQ(run.points[i].p99_latency, stats.p99_latency);
-    EXPECT_EQ(run.points[i].converged, stats.converged);
+    // The reference: a Network freshly constructed at this point's load.
+    sim::Network fresh(setup.graph, setup.endpoints, *routing, *pattern,
+                       config, loads[i]);
+    fresh.run_phases();
+    EXPECT_EQ(run.points[i].offered, loads[i]);
+    EXPECT_EQ(run.points[i].accepted, fresh.accepted_load());
+    EXPECT_EQ(run.points[i].avg_latency, fresh.avg_latency());
+    EXPECT_EQ(run.points[i].p99_latency, fresh.p99_latency());
+    EXPECT_EQ(run.points[i].converged, fresh.converged());
   }
   EXPECT_GT(run.perf.sim_cycles, 0);
   EXPECT_GT(run.perf.cycles_per_sec, 0.0);
@@ -233,7 +237,7 @@ TEST(JsonWriter, EscapesAndNestsCorrectly) {
   json.key("n").value(static_cast<std::int64_t>(-7));
   json.key("d").value(0.5);
   json.key("t").value(true);
-  json.key("z").null();
+  json.key("z").value(std::numeric_limits<double>::quiet_NaN());
   json.key("arr").begin_array().value(1).value(2).end_array();
   json.end_object();
   EXPECT_TRUE(json.complete());

@@ -79,16 +79,22 @@ TEST_P(FieldAxioms, GeneratorSpansUnits) {
   EXPECT_EQ(x, 1u) << "generator order isn't q-1";
 }
 
-TEST_P(FieldAxioms, FrobeniusAndPow) {
+TEST_P(FieldAxioms, Frobenius) {
   const Field f(GetParam());
   const std::uint32_t q = f.order();
   const std::uint32_t p = f.characteristic();
+  // a^e by repeated multiplication: the field's own mul, nothing else.
+  const auto pow = [&f](std::uint32_t a, std::uint32_t e) {
+    std::uint32_t x = 1;
+    for (std::uint32_t i = 0; i < e; ++i) x = f.mul(x, a);
+    return x;
+  };
   for (std::uint32_t a = 0; a < q; ++a) {
     for (std::uint32_t b = 0; b < q; ++b) {
       // (a + b)^p = a^p + b^p in characteristic p.
-      EXPECT_EQ(f.pow(f.add(a, b), p), f.add(f.pow(a, p), f.pow(b, p)));
+      EXPECT_EQ(pow(f.add(a, b), p), f.add(pow(a, p), pow(b, p)));
     }
-    EXPECT_EQ(f.pow(a, q), a);  // x^q = x
+    EXPECT_EQ(pow(a, q), a);  // x^q = x
   }
 }
 

@@ -112,6 +112,33 @@ TEST(Registry, SpecParametersAreRangeChecked) {
   EXPECT_EQ(spec_error("jf:n=20,k=4,seed=9223372036854775807"), "");
 }
 
+TEST(Registry, SpecRefusesUnknownAndRepeatedParameters) {
+  // Each family takes exactly the parameters it reads: a typo or a key
+  // of another family is refused, naming the family and the key, and
+  // so is a key given twice (pf:q=5,q=7 used to build ER_7).
+  EXPECT_EQ(spec_error("pf:q=5,p=3,bogus=4"),
+            "topology polarfly: unknown parameter bogus=4 (polarfly takes q)");
+  EXPECT_EQ(spec_error("petersen:q=3"),
+            "topology petersen: unknown parameter q=3 (petersen takes no "
+            "parameters)");
+  EXPECT_EQ(spec_error("sf:q=5,h=2"),
+            "topology slimfly: unknown parameter h=2 (slimfly takes q)");
+  EXPECT_EQ(spec_error("pf:q=5,q=7,p=3"),
+            "topology polarfly: spec 'pf:q=5,q=7,p=3' has duplicate "
+            "parameter q");
+  EXPECT_EQ(spec_error("df:a=4,h=2,p=2,p=3"),
+            "topology dragonfly: spec 'df:a=4,h=2,p=2,p=3' has duplicate "
+            "parameter p");
+  EXPECT_THROW(make_topology("pf", {{"q", 5}, {"n", 2}}),
+               std::invalid_argument);
+  // Every optional parameter is still taken by its family.
+  EXPECT_EQ(spec_error("df:a=4,h=2,p=2"), "");
+  EXPECT_EQ(spec_error("ft:levels=2,arity=4,p=2"), "");
+  EXPECT_EQ(spec_error("pfx:q=5,n=1,quadric=1,p=3"), "");
+  EXPECT_EQ(spec_error("jf:n=20,k=4,seed=3,p=2"), "");
+  EXPECT_EQ(spec_error("hyperx:a=3,b=4"), "");
+}
+
 TEST(Registry, UsageListsEveryFamily) {
   const std::string usage = pf::topo::topology_usage();
   for (const char* family :

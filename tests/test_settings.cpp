@@ -259,6 +259,27 @@ TEST(Settings, RealValuesAreFiniteAndInRangeOnBothSurfaces) {
             "accepted");
 }
 
+TEST(Settings, LoadRangeIsReadWhole) {
+  // --loads lo:hi:count is the suite's {lo, hi, count} grid, and every
+  // field must be a number consumed whole: "2x" used to run as 2.
+  EXPECT_EQ(util::parse_range("0.1:0.3:2"), util::load_steps(0.1, 0.3, 2));
+  EXPECT_EQ(util::parse_range("0.2:1:5"), util::load_steps(0.2, 1.0, 5));
+  EXPECT_EQ(util::parse_range("0.4:0.9:1"), std::vector<double>{0.4});
+  for (const char* spec : {"0.1:0.3:2x", "0.1abc:0.3:2", "0.1:0.3x:2",
+                           "0.1:0.3:2:5", "0.1:0.3:2.5", "0.1:0.3:",
+                           ":0.3:2", "0.1:0.3"}) {
+    try {
+      util::parse_range(spec);
+      ADD_FAILURE() << spec << " accepted";
+    } catch (const util::CliError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("range must be lo:hi:count, got '") + spec + "'");
+    }
+  }
+  EXPECT_THROW(util::parse_range("0.1:0.3:0"), util::CliError);
+  EXPECT_THROW(util::parse_range("0.1:0.3:2147483648"), util::CliError);
+}
+
 TEST(Settings, SeedsSpanTheFullUnsignedRange) {
   // config.seed is covered on both surfaces above; these are the seeds
   // only one surface spells.

@@ -16,13 +16,13 @@
 #include "exp/engine.hpp"
 #include "graph/algos.hpp"
 #include "sim/deadlock.hpp"
-#include "sim/harness.hpp"
 #include "sim/network.hpp"
 #include "sim/routing.hpp"
 #include "sim/traffic.hpp"
 #include "topo/fattree.hpp"
 #include "topo/registry.hpp"
 #include "topo/torus.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -81,50 +81,44 @@ TEST(DistanceOracle, MatchesBfsEverywherePf7AndTorus) {
   }
 }
 
-TEST(DistanceOracle, CompactMatchesFullEverywherePf7AndTorus) {
-  // Compact (int8) storage is a pure memory optimization: every distance
-  // value — and hence every routing decision and RNG draw downstream —
-  // must match the full int16 matrix. Both graphs sit below the Auto
-  // threshold, so each mode is forced explicitly.
-  const core::PolarFly pf7(7);
+TEST(DistanceOracle, BothCellWidthsMatchBfsEverywhere) {
+  // The matrix holds int8 cells unless the diameter exceeds 127. A
+  // 300-router ring (diameter 150) forces the int16 fallback, the 5x5
+  // torus does not; both must agree with BFS on every ordered pair and
+  // sample minimal paths through either width.
   const topo::Torus torus(5, 2);
-  for (const graph::Graph* g : {&pf7.graph(), &torus.graph()}) {
-    const sim::DistanceOracle full(*g, sim::OracleMode::Full);
-    const sim::DistanceOracle compact(*g, sim::OracleMode::Compact);
-    ASSERT_FALSE(full.compact());
-    ASSERT_TRUE(compact.compact());
-    EXPECT_LT(compact.matrix_bytes(), full.matrix_bytes());
-    EXPECT_EQ(compact.diameter(), full.diameter());
+  const topo::Torus ring(300, 1);
+  for (const graph::Graph* g : {&torus.graph(), &ring.graph()}) {
+    const sim::DistanceOracle oracle(*g);
     const int n = g->num_vertices();
+    const std::size_t cell = oracle.diameter() > 127 ? 2 : 1;
+    EXPECT_EQ(oracle.matrix_bytes(),
+              cell * static_cast<std::size_t>(n) * static_cast<std::size_t>(n))
+        << "n=" << n;
+    int max_seen = 0;
     for (int s = 0; s < n; ++s) {
+      const auto dist = graph::bfs_distances(*g, s);
       for (int v = 0; v < n; ++v) {
-        ASSERT_EQ(compact.distance(s, v), full.distance(s, v))
-            << "s=" << s << " v=" << v;
+        ASSERT_EQ(oracle.distance(s, v), dist[static_cast<std::size_t>(v)])
+            << "n=" << n << " s=" << s << " v=" << v;
+        max_seen = std::max(max_seen, dist[static_cast<std::size_t>(v)]);
       }
     }
-    // Identical RNG streams must sample identical minimal routes: the
-    // storage mode is invisible to min-path descent.
-    util::Rng rng_full(123);
-    util::Rng rng_compact(123);
-    for (int s = 0; s < n; s += 3) {
-      for (int d = 0; d < n; d += 5) {
-        sim::Route a;
-        sim::Route b;
-        full.sample_min_path(*g, s, d, rng_full, a);
-        compact.sample_min_path(*g, s, d, rng_compact, b);
-        ASSERT_EQ(a.len, b.len) << "s=" << s << " d=" << d;
-        for (int h = 0; h < a.len; ++h) {
-          ASSERT_EQ(a.hops[static_cast<std::size_t>(h)],
-                    b.hops[static_cast<std::size_t>(h)]);
-        }
+    EXPECT_EQ(oracle.diameter(), max_seen);
+    // A Route holds kMaxLen routers, so only the ring's nearer pairs fit.
+    util::Rng rng(123);
+    for (int s = 0; s < n; s += 7) {
+      for (int d = 0; d < n; ++d) {
+        if (oracle.distance(s, d) >= sim::Route::kMaxLen) continue;
+        sim::Route route;
+        oracle.sample_min_path(*g, s, d, rng, route);
+        expect_valid_route(*g, route, s, d);
+        ASSERT_EQ(route.len - 1, oracle.distance(s, d))
+            << "s=" << s << " d=" << d;
       }
     }
   }
-  // Auto mode flips to compact storage at the router-count threshold:
-  // a 23x23 torus (529 routers) crosses it, PF q=7 (57) does not.
-  const topo::Torus big(23, 2);
-  EXPECT_TRUE(sim::DistanceOracle(big.graph()).compact());
-  EXPECT_FALSE(sim::DistanceOracle(pf7.graph()).compact());
+  EXPECT_EQ(sim::DistanceOracle(ring.graph()).diameter(), 150);
 }
 
 TEST(DistanceOracle, SampleMinPathIsMinimalAndValid) {
@@ -570,15 +564,16 @@ TEST(Simulator, LowLoadDelivers) {
   config.warmup_cycles = 300;
   config.measure_cycles = 600;
   config.drain_cycles = 2000;
-  const auto stats = sim::simulate(fx.pf.graph(), fx.endpoints, routing,
-                                   fx.pattern, config, 0.2);
-  EXPECT_TRUE(stats.converged);
-  EXPECT_GT(stats.delivered_packets, 100);
-  EXPECT_NEAR(stats.accepted_load, 0.2, 0.05);
+  sim::Network net(fx.pf.graph(), fx.endpoints, routing, fx.pattern, config,
+                   0.2);
+  net.run_phases();
+  EXPECT_TRUE(net.converged());
+  EXPECT_GT(net.delivered_packets(), 100);
+  EXPECT_NEAR(net.accepted_load(), 0.2, 0.05);
   // Zero-load-ish latency: ~2 hops + serialization, far below 100.
-  EXPECT_GT(stats.avg_latency, config.packet_size);
-  EXPECT_LT(stats.avg_latency, 60.0);
-  EXPECT_GE(stats.p99_latency, stats.avg_latency);
+  EXPECT_GT(net.avg_latency(), config.packet_size);
+  EXPECT_LT(net.avg_latency(), 60.0);
+  EXPECT_GE(net.p99_latency(), net.avg_latency());
 }
 
 TEST(Simulator, SweepFindsSaturation) {
@@ -589,7 +584,7 @@ TEST(Simulator, SweepFindsSaturation) {
   config.warmup_cycles = 200;
   config.measure_cycles = 400;
   config.drain_cycles = 1200;
-  const auto loads = sim::load_steps(0.2, 1.0, 3);
+  const auto loads = util::load_steps(0.2, 1.0, 3);
   ASSERT_EQ(loads.size(), 3u);
   EXPECT_NEAR(loads[1], 0.6, 1e-12);
   const auto sweep =

@@ -17,14 +17,23 @@
 #include "exp/scenario.hpp"
 #include "exp/suite.hpp"
 #include "graph/algos.hpp"
-#include "sim/harness.hpp"
 #include "topo/registry.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace pf;
+
+/// A committed suites/ file, read and parsed as `pf_sim suite` does.
+exp::Suite committed_suite(const std::string& file) {
+  std::string text;
+  if (!util::read_text_file(std::string(PF_SUITE_DIR) + "/" + file, text)) {
+    throw std::runtime_error("cannot read suite file " + file);
+  }
+  return exp::parse_suite(text);
+}
 
 // ---- util::json_parse ----------------------------------------------------
 
@@ -154,7 +163,7 @@ TEST(SuiteParse, ExpandsTheCrossProduct) {
 
   // Defaults merge: loads grid equals load_steps, config carries over
   // with per-entry overrides layered on top.
-  EXPECT_EQ(suite.cases[0].loads, sim::load_steps(0.2, 0.8, 4));
+  EXPECT_EQ(suite.cases[0].loads, util::load_steps(0.2, 0.8, 4));
   EXPECT_EQ(suite.cases[0].spec.config.warmup_cycles, 100);
   EXPECT_EQ(suite.cases[0].spec.config.seed, 7u);
   EXPECT_FALSE(suite.cases[0].saturation);
@@ -287,8 +296,7 @@ TEST(SuiteParse, CommittedPaperSuiteResolvesEverywhere) {
   // suite is exactly the drift this file exists to catch. (Parsing
   // builds nothing; resolving builds each topology + oracle once via
   // the shared registry.)
-  const exp::Suite suite =
-      exp::load_suite(std::string(PF_SUITE_DIR) + "/paper_figs.json");
+  const exp::Suite suite = committed_suite("paper_figs.json");
   EXPECT_EQ(suite.name, "paper_figs");
   // It is also the only definition of the Figs. 8-11 sweeps and the
   // traffic ablations, so the matrix is pinned case for case: a dropped
@@ -343,9 +351,8 @@ TEST(SuiteParse, CommittedFullScaleSuiteResolvesEverywhere) {
   // case must carry a wall-clock budget (these runs are hours, not
   // seconds), and no paper-scale oracle may hold an int16 matrix: intact
   // PolarFly routes from ER_q's algebra with no matrix at all, and every
-  // other graph lands on the compact path automatically.
-  const exp::Suite suite =
-      exp::load_suite(std::string(PF_SUITE_DIR) + "/paper_figs_full.json");
+  // other graph's diameter fits an int8 cell.
+  const exp::Suite suite = committed_suite("paper_figs_full.json");
   EXPECT_EQ(suite.name, "paper_figs_full");
   EXPECT_GE(suite.cases.size(), 30u);
   auto& registry = exp::ScenarioRegistry::shared();
@@ -358,9 +365,11 @@ TEST(SuiteParse, CommittedFullScaleSuiteResolvesEverywhere) {
       EXPECT_NE(scenario.setup->polarfly, nullptr) << cs.spec.name;
       EXPECT_EQ(scenario.setup->oracle->matrix_bytes(), 0u) << cs.spec.name;
     } else {
-      // Tab. V scale: every graph here has >= 512 routers, so Auto mode
-      // must have chosen int8 storage.
-      EXPECT_TRUE(scenario.setup->oracle->compact()) << cs.spec.name;
+      // Tab. V scale: every matrix holds one int8 cell per router pair.
+      const auto n =
+          static_cast<std::size_t>(scenario.setup->graph.num_vertices());
+      EXPECT_EQ(scenario.setup->oracle->matrix_bytes(), n * n)
+          << cs.spec.name;
     }
   }
 }
@@ -441,9 +450,7 @@ TEST(ScenarioRegistry, FailureSpecIsPartOfTheCacheKey) {
   // Eviction clears damaged entries only.
   EXPECT_GE(registry.evict_damaged(), 2u);
   EXPECT_EQ(registry.topology("pf:q=5,p=3").get(), intact.get());
-  for (const auto& key : registry.cached_topologies()) {
-    EXPECT_EQ(key.find('|'), std::string::npos) << key;
-  }
+  EXPECT_NE(registry.topology("pf:q=5,p=3", kill).get(), damaged.get());
 }
 
 TEST(ScenarioRegistry, CompilesEachWorkloadOnce) {
@@ -506,8 +513,7 @@ sim::SimConfig quick_config() {
 }
 
 TEST(SuiteRunner, MatchesDirectEngineOnSmokeSuite) {
-  const exp::Suite suite = exp::load_suite(std::string(PF_SUITE_DIR) +
-                                           "/smoke.json");
+  const exp::Suite suite = committed_suite("smoke.json");
   ASSERT_EQ(suite.cases.size(), 7u);
 
   exp::ResultLog log;
@@ -578,9 +584,13 @@ TEST(SuiteRunner, FailureSpecReproducesHandRolledDamage) {
   edges.resize(edges.size() * static_cast<std::size_t>(pct) / 100);
   const graph::Graph damaged = pf.graph().without_edges(edges);
   ASSERT_TRUE(graph::is_connected(damaged));
-  const auto hand = exp::make_graph_setup("PF-hand", damaged, p);
+  exp::NetSetup hand;
+  hand.name = "PF-hand";
+  hand.graph = damaged;
+  hand.endpoints = sim::uniform_endpoints(damaged.num_vertices(), p);
+  hand.oracle = std::make_shared<sim::DistanceOracle>(hand.graph);
   const auto config = quick_config();
-  const auto loads = sim::load_steps(0.3, 0.9, 4);
+  const auto loads = util::load_steps(0.3, 0.9, 4);
 
   // ... must be bit-identical to the declarative failure-spec path.
   exp::ScenarioSpec spec;
@@ -708,8 +718,7 @@ TEST(SuiteRunner, ParallelSchedulerIsBitIdenticalToSerial) {
   // the serial runner — same order, same values. Only wall_seconds /
   // cycles_per_sec may differ, and the diff comparator excludes exactly
   // those, so a zero-tolerance diff is the right equality check.
-  const exp::Suite suite = exp::load_suite(std::string(PF_SUITE_DIR) +
-                                           "/smoke.json");
+  const exp::Suite suite = committed_suite("smoke.json");
 
   exp::ScheduleOptions serial;
   serial.parallel = false;
@@ -721,41 +730,37 @@ TEST(SuiteRunner, ParallelSchedulerIsBitIdenticalToSerial) {
   exp::DiffOptions exact;
   exact.rtol = 0.0;
   exact.atol = 0.0;
-  for (const int workers_per_case : {0, 1, 2}) {
-    exp::ScheduleOptions parallel;
-    parallel.workers_per_case = workers_per_case;
-    exp::ResultLog log;
-    std::vector<std::size_t> callback_order;
-    exp::SuiteRunner(exp::ScenarioRegistry::shared(), parallel)
-        .run(suite, log,
-             [&callback_order, &suite](const exp::RunRecord&,
-                                       std::size_t index,
-                                       std::size_t total) {
-               EXPECT_EQ(total, suite.cases.size());
-               callback_order.push_back(index);
-             });
-    // Callbacks fire in document order even when completion interleaves.
-    ASSERT_EQ(callback_order.size(), suite.cases.size());
-    for (std::size_t i = 0; i < callback_order.size(); ++i) {
-      EXPECT_EQ(callback_order[i], i);
-    }
+  exp::ScheduleOptions parallel;
+  exp::ResultLog log;
+  std::vector<std::size_t> callback_order;
+  exp::SuiteRunner(exp::ScenarioRegistry::shared(), parallel)
+      .run(suite, log,
+           [&callback_order, &suite](const exp::RunRecord&,
+                                     std::size_t index,
+                                     std::size_t total) {
+             EXPECT_EQ(total, suite.cases.size());
+             callback_order.push_back(index);
+           });
+  // Callbacks fire in document order even when completion interleaves.
+  ASSERT_EQ(callback_order.size(), suite.cases.size());
+  for (std::size_t i = 0; i < callback_order.size(); ++i) {
+    EXPECT_EQ(callback_order[i], i);
+  }
 
-    exp::RunDocument serial_doc, parallel_doc;
-    serial_doc.records = serial_log.records();
-    parallel_doc.records = log.records();
-    const exp::DiffReport report =
-        exp::diff_documents(serial_doc, parallel_doc, exact);
-    EXPECT_TRUE(report.clean())
-        << "workers_per_case=" << workers_per_case << ": "
-        << (report.drifts.empty() ? "record set mismatch"
-                                  : report.drifts[0].field);
-    // Labels and order, belt and braces on top of the key matching.
-    for (std::size_t i = 0; i < log.records().size(); ++i) {
-      EXPECT_EQ(log.records()[i].label, serial_log.records()[i].label);
-      EXPECT_EQ(log.records()[i].seed, serial_log.records()[i].seed);
-      EXPECT_EQ(log.records()[i].pattern_seed,
-                serial_log.records()[i].pattern_seed);
-    }
+  exp::RunDocument serial_doc, parallel_doc;
+  serial_doc.records = serial_log.records();
+  parallel_doc.records = log.records();
+  const exp::DiffReport report =
+      exp::diff_documents(serial_doc, parallel_doc, exact);
+  EXPECT_TRUE(report.clean())
+      << (report.drifts.empty() ? "record set mismatch"
+                                : report.drifts[0].field);
+  // Labels and order, belt and braces on top of the key matching.
+  for (std::size_t i = 0; i < log.records().size(); ++i) {
+    EXPECT_EQ(log.records()[i].label, serial_log.records()[i].label);
+    EXPECT_EQ(log.records()[i].seed, serial_log.records()[i].seed);
+    EXPECT_EQ(log.records()[i].pattern_seed,
+              serial_log.records()[i].pattern_seed);
   }
 }
 
@@ -1025,8 +1030,7 @@ TEST(SuiteRunner, ResumeReplaysTheJournalBitIdentically) {
   // records already present in the checkpoint journal are replayed into
   // their document slots without re-simulation, and the assembled log is
   // bit-identical to the uninterrupted run.
-  const exp::Suite suite = exp::load_suite(std::string(PF_SUITE_DIR) +
-                                           "/smoke.json");
+  const exp::Suite suite = committed_suite("smoke.json");
   exp::ResultLog full;
   exp::SuiteRunner().run(suite, full);
   ASSERT_EQ(full.records().size(), suite.cases.size());

@@ -607,8 +607,10 @@ TEST(WorkloadSuite, CommittedWorkloadSuiteResolvesEverywhere) {
   // The shipped workloads matrix must parse, expand, and compile every
   // workload spec at its topology's real rank count — a committed suite
   // whose specs rot is exactly the drift this gate exists to catch.
-  const exp::Suite suite =
-      exp::load_suite(std::string(PF_SUITE_DIR) + "/workloads.json");
+  std::string text;
+  ASSERT_TRUE(util::read_text_file(
+      std::string(PF_SUITE_DIR) + "/workloads.json", text));
+  const exp::Suite suite = exp::parse_suite(text);
   EXPECT_EQ(suite.name, "workloads");
   EXPECT_GE(suite.cases.size(), 24u);
   auto& registry = exp::ScenarioRegistry::shared();
